@@ -299,7 +299,7 @@ pub(crate) fn serve_parallel<'a, P>(
 where
     P: cama_sim::ShardedExecution + Clone + std::fmt::Debug,
 {
-    let workers = cama_sim::worker_count(workers).min(streams.len());
+    let workers = cama_core::compile::worker_count(workers).min(streams.len());
     if workers <= 1 {
         let mut observer = make_observer();
         let mut batch = cama_sim::BatchSimulator::new(compiled);

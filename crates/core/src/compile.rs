@@ -21,8 +21,9 @@
 //!   codebook identity). Recompiling an updated ruleset pays only for
 //!   the components that actually changed;
 //! * [`compile_ruleset`] drives cache misses across a worker pool
-//!   ([`worker_count`] resolves the pool size exactly like the parallel
-//!   runtime: explicit request → `CAMA_WORKERS` → detected parallelism)
+//!   ([`worker_count`] resolves the pool size exactly like the
+//!   work-stealing stream dispatcher: explicit request →
+//!   `CAMA_WORKERS` → detected parallelism)
 //!   and assembles the per-component shards into a
 //!   [`ShardedAutomaton`] bit-identical to
 //!   [`compile_per_component`](ShardedAutomaton::compile_per_component)
@@ -81,8 +82,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use crate::compiled::{
-    byte_probes, strided_probes, CompiledAutomaton, CompiledStridedAutomaton, DfaBudget,
-    ExecutionPlan, Shard, ShardProbes, ShardedAutomaton, ShardedStridedAutomaton, StridedPlan,
+    byte_probes, strided_probes, CompiledAutomaton, CompiledDfa, CompiledStridedAutomaton,
+    DfaBudget, ExecutionPlan, Shard, ShardProbes, ShardedAutomaton, ShardedStridedAutomaton,
+    StridedPlan,
 };
 use crate::graph::connected_components;
 use crate::nfa::{BuildOptions, Nfa, NfaBuilder, StartKind, SteId};
@@ -96,9 +98,10 @@ const UNIT_NAME: &str = "unit";
 /// Resolves a requested worker count for parallel compilation: an
 /// explicit positive request wins; `0` consults the `CAMA_WORKERS`
 /// environment variable and falls back to
-/// [`std::thread::available_parallelism`] (minimum 1). The same
-/// resolution order the shard-parallel runtime uses
-/// (`cama_sim::parallel::worker_count` delegates here).
+/// [`std::thread::available_parallelism`] (minimum 1). The stream
+/// dispatcher (`cama_sim::BatchSimulator::run_parallel`) and the
+/// parallel serving rollup resolve their thread counts through this
+/// same function.
 pub fn worker_count(requested: usize) -> usize {
     if requested > 0 {
         return requested;
@@ -471,18 +474,21 @@ impl<P> PlanCache<P> {
         self.entries.clear();
     }
 
-    fn lookup(&mut self, key: CacheKey) -> Option<&Shard<P>> {
+    /// Looks `key` up, refreshing its LRU stamp. Counting is the
+    /// caller's ([`count`](Self::count)): a compile counts each
+    /// component once, against the entry its plan uses.
+    fn get(&mut self, key: CacheKey) -> Option<&Shard<P>> {
         self.clock += 1;
-        match self.entries.get_mut(&key) {
-            Some(entry) => {
-                entry.last_used = self.clock;
-                self.hits += 1;
-                Some(&entry.shard)
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
+        let entry = self.entries.get_mut(&key)?;
+        entry.last_used = self.clock;
+        Some(&entry.shard)
+    }
+
+    fn count(&mut self, hit: bool) {
+        if hit {
+            self.hits += 1;
+        } else {
+            self.misses += 1;
         }
     }
 
@@ -533,14 +539,20 @@ struct RawUnit<'a, A> {
 
 /// The shared cached-parallel driver: resolve cache hits serially,
 /// compile the misses across a worker pool, publish them back to the
-/// cache, and assemble the per-component shards in unit order.
-#[allow(clippy::too_many_arguments)] // internal driver behind the two typed entry points
+/// cache, and assemble the per-component shards in unit order. Units
+/// whose slot the caller pre-filled (`hits` of them served from the
+/// cache) were looked up and counted by the caller and are not looked
+/// up again: every component counts exactly once, as a hit or a miss, in
+/// the report and the cache stats.
+#[allow(clippy::too_many_arguments)] // internal driver behind the typed entry points
 fn compile_cached<P, A>(
     len: usize,
     name: &str,
     units: &[RawUnit<'_, A>],
     cache: &mut PlanCache<P>,
-    salt_of: &dyn Fn(usize) -> u64,
+    salt: u64,
+    mut slots: Vec<Option<Shard<P>>>,
+    mut hits: usize,
     workers: usize,
     compile: &(impl Fn(&A) -> P + Sync),
     probes: &(impl Fn(&P) -> ShardProbes + Sync),
@@ -550,26 +562,32 @@ where
     A: Sync,
 {
     let workers = worker_count(workers);
-    let mut slots: Vec<Option<Shard<P>>> = Vec::with_capacity(units.len());
+    slots.resize_with(units.len(), || None);
     let mut miss_indices: Vec<usize> = Vec::new();
     for (index, unit) in units.iter().enumerate() {
+        if slots[index].is_some() {
+            continue;
+        }
         let key = CacheKey {
             hash: unit.hash,
-            salt: salt_of(index),
+            salt,
         };
-        match cache.lookup(key) {
-            Some(template) => slots.push(Some(template.retarget(unit.states.to_vec()))),
-            None => {
-                miss_indices.push(slots.len());
-                slots.push(None);
-            }
+        let cached = cache
+            .get(key)
+            .map(|template| template.retarget(unit.states.to_vec()));
+        cache.count(cached.is_some());
+        if cached.is_some() {
+            hits += 1;
+        } else {
+            miss_indices.push(index);
         }
+        slots[index] = cached;
     }
 
     let report = CompileReport {
         components: units.len(),
-        cache_hits: units.len() - miss_indices.len(),
-        cache_misses: miss_indices.len(),
+        cache_hits: hits,
+        cache_misses: units.len() - hits,
         workers,
     };
 
@@ -628,7 +646,7 @@ where
     for &index in &miss_indices {
         let key = CacheKey {
             hash: units[index].hash,
-            salt: salt_of(index),
+            salt,
         };
         let shard = slots[index].as_ref().expect("miss slot filled above");
         cache.store(key, shard.clone());
@@ -668,7 +686,7 @@ pub fn compile_ruleset(
 }
 
 /// The profile-guided determinization policy [`compile_hybrid_ruleset`]
-/// applies: which components become [`CompiledDfa`](crate::compiled::CompiledDfa) fast paths and
+/// applies: which components become [`CompiledDfa`] fast paths and
 /// under what blow-up caps.
 ///
 /// Nomination is hottest-first — components ranked by summed observed
@@ -739,7 +757,7 @@ pub fn dfa_enabled() -> bool {
 /// `policy` nominates (hottest observed heat first) are subset-
 /// constructed under the per-component [`DfaBudget`] caps, and the ones
 /// that stay within budget — per-component *and* the running global
-/// memory budget — carry a [`CompiledDfa`](crate::compiled::CompiledDfa) the engines step with one
+/// memory budget — carry a [`CompiledDfa`] the engines step with one
 /// table load per cycle. Everything else (blown budgets, cold
 /// components, components with cross edges) keeps the NFA kernels.
 /// Execution of the hybrid plan is report-bit-identical to the pure-NFA
@@ -798,10 +816,29 @@ pub fn compile_hybrid_ruleset(
     // determinizing misses now, serially (hot components are few) —
     // and meter accepted tables against the global memory budget.
     // Declined constructions are cached too (as plain shards under the
-    // DFA salt), so the decline is also paid for only once.
+    // DFA salt), so the decline is also paid for only once. A unit
+    // counts toward the cache stats here only if the plan uses its
+    // salted entry; an over-budget unit counts at its NFA lookup.
     let dfa_salt = policy.salt();
     let mut remaining = policy.memory_budget;
-    let mut salts = vec![0u64; units.len()];
+    let mut resolved: Vec<Option<Shard<CompiledAutomaton>>> = Vec::new();
+    resolved.resize_with(units.len(), || None);
+    let mut resolved_hits = 0;
+    let mut accept = |table_bytes: Option<usize>| match table_bytes {
+        // In per-component budget; accept if the global budget still
+        // covers it (structurally identical duplicates each meter the
+        // shared table — conservative, and keeps acceptance independent
+        // of Arc sharing).
+        Some(bytes) if bytes <= remaining => {
+            remaining -= bytes;
+            true
+        }
+        // Over the remaining global budget: the DFA stays cached for
+        // future compilations, this one keeps the NFA shard.
+        Some(_) => false,
+        // Declined under the caps: use the salted NFA entry.
+        None => true,
+    };
     for &i in &order {
         // A measured profile marks never-active components cold; they
         // stay NFA (their shards are skipped wholesale anyway).
@@ -813,44 +850,33 @@ pub fn compile_hybrid_ruleset(
             hash: unit.hash,
             salt: dfa_salt,
         };
-        let cached = cache.lookup(key).map(|template| {
-            template
-                .dfa()
-                .map(crate::compiled::CompiledDfa::table_bytes)
-        });
-        let table_bytes = match cached {
-            Some(Some(bytes)) => Some(bytes),
-            // Cached decline under these caps: the unit stays NFA but
-            // uses the salted entry (0 bytes of table).
-            Some(None) => None,
+        let (shard, hit) = match cache.get(key) {
+            Some(template) => {
+                if !accept(template.dfa().map(CompiledDfa::table_bytes)) {
+                    continue;
+                }
+                (template.retarget(unit.states.to_vec()), true)
+            }
             None => {
                 let plan = CompiledAutomaton::compile(&unit.local);
-                let dfa = crate::compiled::CompiledDfa::determinize(&plan, &policy.budget);
-                let bytes = dfa.as_ref().map(crate::compiled::CompiledDfa::table_bytes);
+                let dfa = CompiledDfa::determinize(&plan, &policy.budget);
+                let bytes = dfa.as_ref().map(CompiledDfa::table_bytes);
                 let probes = byte_probes(&plan);
                 let mut shard = Shard::from_component(plan, probes, unit.states.to_vec());
                 if let Some(dfa) = dfa {
                     shard = shard.with_dfa(std::sync::Arc::new(dfa));
                 }
-                cache.store(key, shard);
-                bytes
+                if !accept(bytes) {
+                    cache.store(key, shard);
+                    continue;
+                }
+                cache.store(key, shard.clone());
+                (shard, false)
             }
         };
-        match table_bytes {
-            // In per-component budget; accept if the global budget
-            // still covers it (structurally identical duplicates each
-            // meter the shared table — conservative, and keeps
-            // acceptance independent of Arc sharing).
-            Some(bytes) if bytes <= remaining => {
-                remaining -= bytes;
-                salts[i] = dfa_salt;
-            }
-            // Over the remaining global budget: the DFA stays cached
-            // for future compilations, this one keeps the NFA shard.
-            Some(_) => {}
-            // Declined under the caps: use the salted NFA entry.
-            None => salts[i] = dfa_salt,
-        }
+        cache.count(hit);
+        resolved_hits += usize::from(hit);
+        resolved[i] = Some(shard);
     }
 
     let raw: Vec<RawUnit<'_, Nfa>> = units
@@ -866,7 +892,9 @@ pub fn compile_hybrid_ruleset(
         nfa.name(),
         &raw,
         cache,
-        &|i| salts[i],
+        0,
+        resolved,
+        resolved_hits,
         workers,
         &CompiledAutomaton::compile,
         &byte_probes,
@@ -922,7 +950,9 @@ pub fn compile_ruleset_with<P: ExecutionPlan + Clone + Send>(
         name,
         &raw,
         cache,
-        &|_| salt,
+        salt,
+        Vec::new(),
+        0,
         workers,
         &compile,
         &byte_probes,
@@ -992,7 +1022,9 @@ pub fn compile_strided_ruleset_with<P: StridedPlan + Clone + Send>(
         name,
         &raw,
         cache,
-        &|_| salt,
+        salt,
+        Vec::new(),
+        0,
         workers,
         &compile,
         &strided_probes,
@@ -1291,6 +1323,47 @@ mod tests {
         let (_, warm) = compile_strided_ruleset(&strided, 2, &mut cache);
         assert_eq!(warm.cache_misses, 0);
         assert_eq!(warm.cache_hits, cold.components);
+    }
+
+    /// Every component counts exactly once per compile, in the report
+    /// and in the cache's lifetime counters: a hit only if the artifact
+    /// the plan uses was cached before the call. Covers determinized,
+    /// over-the-global-budget, and profile-cold units.
+    #[test]
+    fn hybrid_compile_counts_each_component_once() {
+        let nfa = ruleset(&["ab+c", "xy+z", "pq*r", "m[a-c]n"]);
+        // A profile that leaves the last two patterns' components cold.
+        let heat: Vec<u64> = (0..nfa.len()).map(|g| u64::from(g < 4)).collect();
+        let policies = [
+            DfaPolicy::default(),
+            DfaPolicy {
+                memory_budget: 0,
+                ..DfaPolicy::default()
+            },
+            DfaPolicy {
+                heat,
+                ..DfaPolicy::default()
+            },
+        ];
+        for (p, policy) in policies.iter().enumerate() {
+            let mut cache = PlanCache::default();
+            let (_, cold) = compile_hybrid_ruleset(&nfa, 1, &mut cache, policy);
+            let after_cold = cache.cache_stats();
+            assert_eq!(cold.components, 4, "policy {p}");
+            assert_eq!(cold.cache_hits, 0, "policy {p}: cold hits");
+            assert_eq!(
+                cold.cache_misses, cold.components,
+                "policy {p}: cold misses"
+            );
+            assert_eq!((after_cold.hits, after_cold.misses), (0, 4), "policy {p}");
+
+            let (_, warm) = compile_hybrid_ruleset(&nfa, 1, &mut cache, policy);
+            let after_warm = cache.cache_stats();
+            assert_eq!(warm.cache_misses, 0, "policy {p}: warm misses");
+            assert_eq!(warm.cache_hits, warm.components, "policy {p}: warm hits");
+            assert_eq!(after_warm.hits - after_cold.hits, 4, "policy {p}");
+            assert_eq!(after_warm.misses - after_cold.misses, 0, "policy {p}");
+        }
     }
 
     #[test]

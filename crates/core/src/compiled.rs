@@ -2863,41 +2863,6 @@ impl<P: PlanBase> ShardedAutomaton<P> {
     pub fn num_local_edges(&self) -> usize {
         self.shards.iter().map(|s| s.plan.num_edges()).sum()
     }
-
-    /// A balanced shard→worker pinning for `workers` execution threads:
-    /// `result[shard]` is the worker that owns the shard. Shards are
-    /// assigned greedily, heaviest first, to the least-loaded worker,
-    /// where a shard's weight is the number of 64-state words its
-    /// kernels sweep per visited cycle (the unit behind
-    /// `ShardStats::words_visited`); empty shards weigh nothing and are
-    /// distributed round-robin. The assignment is deterministic: ties
-    /// break toward the lower shard id and the lower worker id.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `workers` is zero.
-    pub fn pin_shards(&self, workers: usize) -> Vec<u32> {
-        assert!(workers > 0, "worker count must be positive");
-        let mut order: Vec<usize> = (0..self.shards.len()).collect();
-        let weight = |shard: usize| self.shards[shard].len().div_ceil(64) as u64;
-        // Heaviest first, shard id as the deterministic tie-break.
-        order.sort_by_key(|&s| (std::cmp::Reverse(weight(s)), s));
-        let mut load = vec![0u64; workers];
-        let mut pin = vec![0u32; self.shards.len()];
-        let mut next_empty = 0usize;
-        for shard in order {
-            let w = weight(shard);
-            if w == 0 {
-                pin[shard] = (next_empty % workers) as u32;
-                next_empty += 1;
-                continue;
-            }
-            let lightest = (0..workers).min_by_key(|&i| (load[i], i)).unwrap();
-            load[lightest] += w;
-            pin[shard] = lightest as u32;
-        }
-        pin
-    }
 }
 
 #[cfg(test)]
@@ -3505,47 +3470,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn pin_shards_covers_all_shards_and_balances_weight() {
-        let nfa = regex::compile_set(&["ab+c", "x[0-9]+y", "qr", "st"]).unwrap();
-        let plan = ShardedAutomaton::compile_per_component(&nfa);
-        for workers in 1..=6 {
-            let pin = plan.pin_shards(workers);
-            assert_eq!(pin.len(), plan.num_shards(), "{workers} workers");
-            assert!(
-                pin.iter().all(|&w| (w as usize) < workers),
-                "{workers} workers: {pin:?}"
-            );
-            // Greedy largest-first keeps the heaviest worker within one
-            // max-shard weight of the lightest loaded worker.
-            let mut load = vec![0u64; workers];
-            let mut max_shard = 0u64;
-            for (shard, &w) in pin.iter().enumerate() {
-                let weight = plan.shard(shard).len().div_ceil(64) as u64;
-                load[w as usize] += weight;
-                max_shard = max_shard.max(weight);
-            }
-            let used: Vec<u64> = load.iter().copied().filter(|&l| l > 0).collect();
-            let (min, max) = (
-                used.iter().copied().min().unwrap_or(0),
-                used.iter().copied().max().unwrap_or(0),
-            );
-            assert!(max - min <= max_shard, "{workers} workers: {load:?}");
-        }
-        // Deterministic: the same plan pins identically every time.
-        assert_eq!(plan.pin_shards(3), plan.pin_shards(3));
-    }
-
-    #[test]
-    fn pin_shards_distributes_empty_shards() {
-        let nfa = regex::compile("abc").unwrap();
-        // A sparse assignment leaves shards 1–3 empty.
-        let plan = ShardedAutomaton::compile_with_assignment(&nfa, &[0, 0, 4]);
-        let pin = plan.pin_shards(2);
-        assert_eq!(pin.len(), 5);
-        assert!(pin.iter().all(|&w| w < 2));
     }
 
     /// Walks a [`CompiledDfa`] over `input` collecting `(code, offset)`

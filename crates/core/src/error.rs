@@ -15,6 +15,10 @@ pub enum Error {
     RegexSyntax { offset: usize, message: String },
     /// A regular expression expanded past the configured state budget.
     RegexTooLarge { limit: usize },
+    /// A regex, XML or JSON input nests deeper than its parser's fixed
+    /// depth limit. Reported instead of recursing until the stack
+    /// overflows, which would abort the process.
+    NestingTooDeep { limit: usize },
     /// An ANML document failed to parse.
     AnmlSyntax { line: usize, message: String },
     /// An MNRL document failed to parse.
@@ -31,6 +35,9 @@ impl fmt::Display for Error {
             }
             Error::RegexTooLarge { limit } => {
                 write!(f, "regex expansion exceeds the state budget of {limit}")
+            }
+            Error::NestingTooDeep { limit } => {
+                write!(f, "input nests deeper than the limit of {limit}")
             }
             Error::AnmlSyntax { line, message } => {
                 write!(f, "ANML parse error at line {line}: {message}")

@@ -156,11 +156,14 @@ fn write_json_string(out: &mut String, s: &str) {
 ///
 /// # Errors
 ///
-/// Returns [`Error::MnrlSyntax`] with a byte offset on malformed input.
+/// Returns [`Error::MnrlSyntax`] with a byte offset on malformed input,
+/// or [`Error::NestingTooDeep`] when arrays and objects nest more than
+/// 256 levels deep.
 pub fn parse(input: &str) -> Result<JsonValue> {
     let mut parser = Parser {
         input: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     parser.skip_whitespace();
     let value = parser.value()?;
@@ -171,9 +174,18 @@ pub fn parse(input: &str) -> Result<JsonValue> {
     Ok(value)
 }
 
+/// Deepest array/object nesting [`parse`] accepts. The parser and the
+/// value's drop recurse once per level; at this depth both fit a
+/// thread with Rust's default 2 MiB stack with room to spare (on
+/// x86-64, unoptimized builds overflow it near 1 300 levels, optimized
+/// builds near 8 700).
+const MAX_DEPTH: usize = 256;
+
 struct Parser<'a> {
     input: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -205,8 +217,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<JsonValue> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => self.string().map(JsonValue::String),
             Some(b't') => self.keyword(b"true", JsonValue::Bool(true)),
             Some(b'f') => self.keyword(b"false", JsonValue::Bool(false)),
@@ -214,6 +226,18 @@ impl Parser<'_> {
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.error("expected a JSON value")),
         }
+    }
+
+    /// `container` parsed one level deeper, refused past `MAX_DEPTH`
+    /// open arrays and objects.
+    fn nested(&mut self, container: fn(&mut Self) -> Result<JsonValue>) -> Result<JsonValue> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error::NestingTooDeep { limit: MAX_DEPTH });
+        }
+        self.depth += 1;
+        let value = container(self);
+        self.depth -= 1;
+        value
     }
 
     fn keyword(&mut self, word: &[u8], value: JsonValue) -> Result<JsonValue> {
@@ -381,6 +405,27 @@ mod tests {
     fn empty_containers() {
         assert_eq!(parse("[]").unwrap(), JsonValue::Array(vec![]));
         assert_eq!(parse("{}").unwrap(), JsonValue::Object(BTreeMap::new()));
+    }
+
+    #[test]
+    fn nesting_is_limited_not_fatal() {
+        fn nested(depth: usize) -> String {
+            format!("{}{}", "[".repeat(depth), "]".repeat(depth))
+        }
+        let results = crate::on_default_stack(|| {
+            let objects = format!("{}1{}", r#"{"k":"#.repeat(MAX_DEPTH), "}".repeat(MAX_DEPTH));
+            [
+                parse(&nested(MAX_DEPTH)).map(drop),
+                parse(&objects).map(drop),
+                parse(&nested(MAX_DEPTH + 1)).map(drop),
+                parse(&nested(100_000)).map(drop),
+            ]
+        });
+        let too_deep = Err(Error::NestingTooDeep { limit: MAX_DEPTH });
+        assert_eq!(results[0], Ok(()), "arrays at the limit");
+        assert_eq!(results[1], Ok(()), "objects at the limit");
+        assert_eq!(results[2], too_deep, "one past the limit");
+        assert_eq!(results[3], too_deep, "depth 100 000");
     }
 
     #[test]

@@ -57,3 +57,16 @@ pub use compiled::{CompiledAutomaton, CompiledEncodedStridedAutomaton, CompiledS
 pub use error::{Error, Result};
 pub use nfa::{BuildOptions, Nfa, NfaBuilder, StartKind, Ste, SteId};
 pub use symbol::{SymbolClass, ALPHABET};
+
+/// Runs `f` on a thread with Rust's default 2 MiB stack — the stack
+/// compile-pool workers get — so depth-limit tests measure against it
+/// rather than against the test harness's own thread.
+#[cfg(test)]
+pub(crate) fn on_default_stack<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+    std::thread::Builder::new()
+        .stack_size(2 * 1024 * 1024)
+        .spawn(f)
+        .expect("spawn a 2 MiB test thread")
+        .join()
+        .expect("test thread panicked")
+}

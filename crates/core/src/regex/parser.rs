@@ -13,8 +13,9 @@ pub const DEFAULT_REPEAT_BUDGET: usize = 1 << 16;
 /// # Errors
 ///
 /// Returns [`Error::RegexSyntax`] with a byte offset for malformed input,
-/// or [`Error::RegexTooLarge`] when counted repetitions expand beyond
-/// [`DEFAULT_REPEAT_BUDGET`] positions.
+/// [`Error::RegexTooLarge`] when counted repetitions expand beyond
+/// [`DEFAULT_REPEAT_BUDGET`] positions, or [`Error::NestingTooDeep`]
+/// when groups or the tree nest more than 128 levels deep.
 ///
 /// # Examples
 ///
@@ -29,8 +30,9 @@ pub fn parse(pattern: &str) -> Result<Ast> {
     let mut parser = Parser {
         input: pattern.as_bytes(),
         pos: 0,
+        depth: 0,
     };
-    let ast = parser.alternation()?;
+    let (ast, _) = parser.alternation()?;
     if parser.pos != parser.input.len() {
         return Err(parser.error("unexpected trailing input"));
     }
@@ -42,9 +44,30 @@ pub fn parse(pattern: &str) -> Result<Ast> {
     Ok(ast)
 }
 
+/// Deepest nesting [`parse`] accepts, counted two ways: open groups
+/// (the parser recurses per group) and the height of the tree (every
+/// consumer of an [`Ast`] — Glushkov construction, position counting,
+/// drop — recurses per level; each quantifier, concatenation and
+/// alternation adds one). At this depth the whole of
+/// [`compile`](super::compile) fits a thread with Rust's default 2 MiB
+/// stack with room to spare (on x86-64, unoptimized builds overflow it
+/// near 390 nested groups, optimized builds near 2 000).
+const MAX_NESTING: usize = 128;
+
 struct Parser<'a> {
     input: &'a [u8],
     pos: usize,
+    /// Groups currently open.
+    depth: usize,
+}
+
+/// `height` raised by `levels`, refused past [`MAX_NESTING`].
+fn deeper(height: usize, levels: usize) -> Result<usize> {
+    let height = height + levels;
+    if height > MAX_NESTING {
+        return Err(Error::NestingTooDeep { limit: MAX_NESTING });
+    }
+    Ok(height)
 }
 
 impl Parser<'_> {
@@ -76,52 +99,76 @@ impl Parser<'_> {
         }
     }
 
-    fn alternation(&mut self) -> Result<Ast> {
-        let mut ast = self.concatenation()?;
+    /// Each parse step returns its tree with an upper bound on the
+    /// tree's height (leaves are 0).
+    fn alternation(&mut self) -> Result<(Ast, usize)> {
+        let (mut ast, mut height) = self.concatenation()?;
+        let mut branches = 1;
         while self.eat(b'|') {
-            let rhs = self.concatenation()?;
+            let (rhs, rhs_height) = self.concatenation()?;
             ast = Ast::alternate(ast, rhs);
+            height = height.max(rhs_height);
+            branches += 1;
         }
-        Ok(ast)
+        if branches > 1 {
+            height = deeper(height, 1)?;
+        }
+        Ok((ast, height))
     }
 
-    fn concatenation(&mut self) -> Result<Ast> {
+    fn concatenation(&mut self) -> Result<(Ast, usize)> {
         let mut ast = Ast::Empty;
+        let mut height = 0;
+        let mut atoms = 0;
         while let Some(b) = self.peek() {
             if b == b'|' || b == b')' {
                 break;
             }
-            let atom = self.repetition()?;
+            let (atom, atom_height) = self.repetition()?;
             ast = Ast::concat(ast, atom);
+            height = height.max(atom_height);
+            atoms += 1;
         }
-        Ok(ast)
+        if atoms > 1 {
+            height = deeper(height, 1)?;
+        }
+        Ok((ast, height))
     }
 
-    fn repetition(&mut self) -> Result<Ast> {
-        let mut ast = self.atom()?;
+    fn repetition(&mut self) -> Result<(Ast, usize)> {
+        let (mut ast, mut height) = match self.peek() {
+            Some(b'(') => self.group()?,
+            _ => (self.atom()?, 0),
+        };
         loop {
             match self.peek() {
                 Some(b'*') => {
                     self.pos += 1;
                     ast = Ast::Star(Box::new(ast));
+                    height = deeper(height, 1)?;
                 }
                 Some(b'+') => {
                     self.pos += 1;
                     ast = Ast::Plus(Box::new(ast));
+                    height = deeper(height, 1)?;
                 }
                 Some(b'?') => {
                     self.pos += 1;
                     ast = Ast::Optional(Box::new(ast));
+                    height = deeper(height, 1)?;
                 }
                 Some(b'{') => {
                     self.pos += 1;
                     let (min, max) = self.counted_bounds()?;
+                    // A concatenation of copies, the last possibly
+                    // wrapped in `+` or `?`: two levels.
+                    height = deeper(height, 2)?;
                     ast = desugar_repeat(ast, min, max, self.pos)?;
                 }
                 _ => break,
             }
         }
-        Ok(ast)
+        Ok((ast, height))
     }
 
     fn counted_bounds(&mut self) -> Result<(u32, Option<u32>)> {
@@ -160,15 +207,24 @@ impl Parser<'_> {
             .map_err(|_| self.error("repetition count overflows"))
     }
 
+    /// A parenthesized group, refused past [`MAX_NESTING`] open groups.
+    fn group(&mut self) -> Result<(Ast, usize)> {
+        if self.depth == MAX_NESTING {
+            return Err(Error::NestingTooDeep { limit: MAX_NESTING });
+        }
+        self.pos += 1;
+        self.depth += 1;
+        let inner = self.alternation()?;
+        self.depth -= 1;
+        if !self.eat(b')') {
+            return Err(self.error("expected `)`"));
+        }
+        Ok(inner)
+    }
+
+    /// A leaf; groups are parsed by [`group`](Self::group).
     fn atom(&mut self) -> Result<Ast> {
         match self.bump() {
-            Some(b'(') => {
-                let inner = self.alternation()?;
-                if !self.eat(b')') {
-                    return Err(self.error("expected `)`"));
-                }
-                Ok(inner)
-            }
             Some(b'[') => self.class().map(Ast::Class),
             Some(b'.') => Ok(Ast::Class(SymbolClass::FULL)),
             Some(b'\\') => self.escape().map(Ast::Class),
@@ -524,5 +580,34 @@ mod tests {
     fn nested_quantifier_applies() {
         let ast = parse("a*?").unwrap();
         assert!(ast.is_nullable());
+    }
+
+    #[test]
+    fn nesting_is_limited_not_fatal() {
+        fn groups(depth: usize, close: &str) -> String {
+            format!("{}a{}", "(".repeat(depth), close.repeat(depth))
+        }
+        let compile = |pattern: String| crate::regex::compile(&pattern).map(drop);
+        let results = crate::on_default_stack(move || {
+            [
+                // At the limit: bare groups, groups whose every level
+                // also adds a tree level, and a quantifier stack.
+                compile(groups(MAX_NESTING, ")")),
+                compile(groups(MAX_NESTING, ")+")),
+                compile(format!("a{}", "+".repeat(MAX_NESTING))),
+                // One past it, each way.
+                compile(groups(MAX_NESTING + 1, ")")),
+                compile(format!("a{}", "+".repeat(MAX_NESTING + 1))),
+                compile(groups(100_000, ")")),
+                compile(format!("a{}", "+".repeat(100_000))),
+            ]
+        });
+        let too_deep = Err(Error::NestingTooDeep { limit: MAX_NESTING });
+        for (i, result) in results[..3].iter().enumerate() {
+            assert_eq!(*result, Ok(()), "shape {i} at the limit");
+        }
+        for (i, result) in results[3..].iter().enumerate() {
+            assert_eq!(*result, too_deep, "shape {i} past the limit");
+        }
     }
 }

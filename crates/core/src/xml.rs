@@ -89,14 +89,17 @@ pub fn escape(text: &str) -> String {
 /// # Errors
 ///
 /// Returns [`Error::AnmlSyntax`] (with a line number) for malformed
-/// input: mismatched tags, unterminated constructs, or missing root.
+/// input: mismatched tags, unterminated constructs, or missing root,
+/// and [`Error::NestingTooDeep`] when elements nest more than 256
+/// levels deep.
 pub fn parse_document(input: &str) -> Result<XmlElement> {
     let mut parser = Parser {
         input: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     parser.skip_prolog()?;
-    let root = parser.element()?;
+    let root = parser.nested_element()?;
     parser.skip_misc()?;
     if parser.pos != parser.input.len() {
         return Err(parser.error("content after the root element"));
@@ -104,9 +107,18 @@ pub fn parse_document(input: &str) -> Result<XmlElement> {
     Ok(root)
 }
 
+/// Deepest element nesting [`parse_document`] accepts. The parser and
+/// the tree's drop recurse once per level; at this depth both fit a
+/// thread with Rust's default 2 MiB stack with room to spare (on
+/// x86-64, unoptimized builds overflow it near 770 levels, optimized
+/// builds near 3 700).
+const MAX_DEPTH: usize = 256;
+
 struct Parser<'a> {
     input: &'a [u8],
     pos: usize,
+    /// Elements currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -189,6 +201,18 @@ impl Parser<'_> {
         Ok(String::from_utf8_lossy(&self.input[start..self.pos]).into_owned())
     }
 
+    /// [`element`](Self::element) one level deeper, refused past
+    /// `MAX_DEPTH` open elements.
+    fn nested_element(&mut self) -> Result<XmlElement> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error::NestingTooDeep { limit: MAX_DEPTH });
+        }
+        self.depth += 1;
+        let element = self.element();
+        self.depth -= 1;
+        element
+    }
+
     fn element(&mut self) -> Result<XmlElement> {
         self.skip_whitespace();
         if self.peek() != Some(b'<') {
@@ -257,7 +281,7 @@ impl Parser<'_> {
                 self.pos += 1;
                 return Ok(element);
             }
-            element.children.push(self.element()?);
+            element.children.push(self.nested_element()?);
         }
     }
 
@@ -364,6 +388,24 @@ mod tests {
             Error::AnmlSyntax { line, .. } => assert_eq!(line, 3),
             other => panic!("unexpected error {other:?}"),
         }
+    }
+
+    #[test]
+    fn nesting_is_limited_not_fatal() {
+        fn nested(depth: usize) -> String {
+            format!("{}{}", "<a>".repeat(depth), "</a>".repeat(depth))
+        }
+        let results = crate::on_default_stack(|| {
+            [
+                parse_document(&nested(MAX_DEPTH)).map(drop),
+                parse_document(&nested(MAX_DEPTH + 1)).map(drop),
+                parse_document(&nested(100_000)).map(drop),
+            ]
+        });
+        let too_deep = Err(Error::NestingTooDeep { limit: MAX_DEPTH });
+        assert_eq!(results[0], Ok(()), "at the limit");
+        assert_eq!(results[1], too_deep, "one past the limit");
+        assert_eq!(results[2], too_deep, "depth 100 000");
     }
 
     #[test]

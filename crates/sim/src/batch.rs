@@ -979,7 +979,7 @@ impl<'p, P: StreamPlan> BatchSimulator<'p, P> {
     /// `threads == 0` auto-detects: the `CAMA_WORKERS` environment
     /// variable if set to a positive integer, otherwise
     /// [`std::thread::available_parallelism`] (see
-    /// [`worker_count`](crate::parallel::worker_count)). The resolved
+    /// [`worker_count`](cama_core::compile::worker_count)). The resolved
     /// count is clamped to the number of streams — no thread is ever
     /// spawned without work — and a count of 1 (or an empty batch)
     /// runs on the caller's thread.
@@ -1002,7 +1002,7 @@ impl<'p, P: StreamPlan> BatchSimulator<'p, P> {
         threads: usize,
         at_close: impl Fn(&mut P::Session<'p>) + Sync,
     ) -> Vec<RunResult> {
-        let threads = crate::parallel::worker_count(threads).min(streams.len());
+        let threads = cama_core::compile::worker_count(threads).min(streams.len());
         if threads <= 1 {
             let mut session = self.session();
             let results = streams

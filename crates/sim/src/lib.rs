@@ -24,12 +24,14 @@
 //!   chunks (`feed`) with results identical to one-shot runs;
 //! * [`BatchSimulator`] — the multi-stream stream table: open/feed/close
 //!   interleaved flows over one shared compiled plan, plus sequential
-//!   and threaded whole-batch runs;
-//! * [`parallel`] — the multi-core shard-parallel runtime:
-//!   [`ParallelShardedSession`] pins disjoint shard subsets to worker
-//!   threads and executes one stream cycle-synchronously (lock-free
-//!   mailbox exchange, per-cycle barrier), bit-identical to
-//!   [`ShardedSession`];
+//!   and threaded whole-batch runs. The threaded run
+//!   ([`BatchSimulator::run_parallel`]) is the crate's one parallel
+//!   path: each thread claims whole streams off an atomic cursor and
+//!   steps them with its own session, so no per-cycle synchronization
+//!   exists;
+//! * [`sharded`] — [`ShardedSession`], the one sharded stepping loop:
+//!   per-array enable vectors, idle-array skipping, and the hybrid
+//!   DFA fast path, bit-identical to the flat engine;
 //! * [`frame`] — length-prefixed wire framing ([`FrameDecoder`]) for
 //!   demuxing interleaved flows out of one buffer;
 //! * [`control`] — the serving control plane over the stream table:
@@ -106,7 +108,6 @@ pub mod encoded;
 pub mod engine;
 pub mod frame;
 pub mod interp;
-pub mod parallel;
 pub mod profile;
 pub mod result;
 pub mod session;
@@ -128,10 +129,6 @@ pub use encoded::{EncodedSession, EncodedSimulator};
 pub use engine::{ByteSession, Simulator};
 pub use frame::{FrameDecoder, FrameError, FrameEvent, StreamId};
 pub use interp::{InterpSession, InterpSimulator};
-pub use parallel::{
-    detected_parallelism, worker_count, ParallelShardedPlan, ParallelShardedSession,
-    ParallelShardedSimulator,
-};
 pub use profile::ShardingProfile;
 pub use result::{Report, RunResult};
 pub use session::{AutomataEngine, FlowSession, Session, SuspendedFlow};

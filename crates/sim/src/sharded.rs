@@ -62,30 +62,26 @@ use cama_core::{Nfa, SteId};
 /// One shard's mutable half of a stream: local enable/active vectors
 /// plus their one-bit-per-word summaries (kept in lockstep so clears
 /// and scans only touch dirty words).
-///
-/// Public only because it appears in the `#[doc(hidden)]` parallel
-/// hooks of [`ShardedExecution`]; not part of the supported API.
-#[doc(hidden)]
 #[derive(Clone, Debug)]
-pub struct ShardLane {
-    pub(crate) dynamic: BitSet,
-    pub(crate) next: BitSet,
-    pub(crate) active: BitSet,
-    pub(crate) dynamic_any: Vec<u64>,
-    pub(crate) next_any: Vec<u64>,
-    pub(crate) active_any: Vec<u64>,
+struct ShardLane {
+    dynamic: BitSet,
+    next: BitSet,
+    active: BitSet,
+    dynamic_any: Vec<u64>,
+    next_any: Vec<u64>,
+    active_any: Vec<u64>,
     /// Popcount of `dynamic`, maintained at the cycle-end advance so
     /// per-cycle accounting never re-counts the vector.
-    pub(crate) num_dynamic: usize,
+    num_dynamic: usize,
     /// The shard ships a [`CompiledDfa`] and this session's stepping
     /// mode (byte plan, chain 1) can use it. Fixed at construction.
-    pub(crate) dfa_capable: bool,
+    dfa_capable: bool,
     /// Step this lane through the DFA table this cycle. Starts equal to
     /// `dfa_capable`; resume clears it (NFA fallback) when a restored
     /// dynamic set has no corresponding DFA state.
-    pub(crate) is_dfa: bool,
+    is_dfa: bool,
     /// Current DFA state (0 = empty set) when `is_dfa`.
-    pub(crate) dfa_state: u32,
+    dfa_state: u32,
 }
 
 impl ShardLane {
@@ -123,10 +119,10 @@ impl ShardLane {
 }
 
 /// Sets a staged activation in a lane's next vector (with its word
-/// summary) — the single write both the sequential exchange and the
-/// parallel mailbox drain perform per cross-shard activation.
+/// summary) — the single write the cross-shard exchange performs per
+/// activation.
 #[inline]
-pub(crate) fn apply_activation(lane: &mut ShardLane, local: usize) {
+fn apply_activation(lane: &mut ShardLane, local: usize) {
     lane.next.as_words_mut()[local / 64] |= 1u64 << (local % 64);
     lane.next_any[local / 4096] |= 1u64 << ((local / 64) % 64);
 }
@@ -134,44 +130,26 @@ pub(crate) fn apply_activation(lane: &mut ShardLane, local: usize) {
 /// Advances one lane at cycle end: next becomes dynamic; the old
 /// dynamic storage is sparse-cleared and becomes next cycle's scratch.
 #[inline]
-pub(crate) fn advance_lane(lane: &mut ShardLane) {
+fn advance_lane(lane: &mut ShardLane) {
     std::mem::swap(&mut lane.dynamic, &mut lane.next);
     std::mem::swap(&mut lane.dynamic_any, &mut lane.next_any);
     sparse_clear(lane.next.as_words_mut(), &mut lane.next_any);
     lane.num_dynamic = popcount_dirty(lane.dynamic.as_words(), &lane.dynamic_any);
 }
 
-/// One engine cycle lowered to data: the symbol(s), whether starts
-/// inject, and the report-offset limit (pad suppression on a strided
-/// flush, `usize::MAX` otherwise). The parallel runtime plans a chunk
-/// into these once ([`ShardedExecution::plan_steps`]) and hands the
-/// slice to every worker, so all workers agree on cycle boundaries.
-#[doc(hidden)]
-#[derive(Clone, Copy, Debug)]
-pub struct CycleStep {
-    pub(crate) a: u8,
-    pub(crate) b: u8,
-    pub(crate) inject: bool,
-    pub(crate) limit: usize,
-}
-
 /// The sinks one shard-cycle writes outside its own lane: staged
 /// reports, staged cross-shard activations (packed
 /// `shard << 32 | local`), and the per-state activity histogram.
-#[doc(hidden)]
-#[derive(Debug)]
-pub struct StepSinks<'a> {
-    pub(crate) staged_reports: &'a mut Vec<Report>,
-    pub(crate) exchange: &'a mut Vec<u64>,
-    pub(crate) state_active: &'a mut [u64],
+struct StepSinks<'a> {
+    staged_reports: &'a mut Vec<Report>,
+    exchange: &'a mut Vec<u64>,
+    state_active: &'a mut [u64],
 }
 
 /// What one shard-cycle contributed to the cycle's totals.
-#[doc(hidden)]
-#[derive(Clone, Copy, Debug)]
-pub struct StepOut {
-    pub(crate) num_active: usize,
-    pub(crate) reports: usize,
+struct StepOut {
+    num_active: usize,
+    reports: usize,
 }
 
 /// The byte-plan idle probe: `true` when the shard can be skipped this
@@ -179,7 +157,7 @@ pub struct StepOut {
 /// start state matching this symbol (if starts inject), and no live
 /// start-of-data overlap on cycle 0.
 #[inline]
-pub(crate) fn byte_shard_idle<P: ExecutionPlan>(
+fn byte_shard_idle<P: ExecutionPlan>(
     shard: &Shard<P>,
     lane: &ShardLane,
     symbol: u8,
@@ -203,7 +181,7 @@ pub(crate) fn byte_shard_idle<P: ExecutionPlan>(
 /// state matches `a` in its first half and `b` in its second, and a
 /// cycle-0 start-of-data state must match both halves to fire.
 #[inline]
-pub(crate) fn pair_shard_idle<P: StridedPlan>(
+fn pair_shard_idle<P: StridedPlan>(
     shard: &Shard<P>,
     lane: &ShardLane,
     a: u8,
@@ -226,11 +204,8 @@ pub(crate) fn pair_shard_idle<P: StridedPlan>(
 /// One visited shard-cycle of the byte kernel: build the active vector
 /// from its enable sources (phase 1), then one pass over the active
 /// words — popcounts, reports with global ids, local successor
-/// expansion, and staging of cross-shard activations (phase 2). Both
-/// the sequential [`ShardedSession::step`] loop and the parallel
-/// workers execute exactly this function, which is what makes their
-/// results bit-identical by construction.
-pub(crate) fn step_shard_byte<P: ExecutionPlan>(
+/// expansion, and staging of cross-shard activations (phase 2).
+fn step_shard_byte<P: ExecutionPlan>(
     shard: &Shard<P>,
     lane: &mut ShardLane,
     symbol: u8,
@@ -360,9 +335,9 @@ pub(crate) fn step_shard_byte<P: ExecutionPlan>(
 /// DFAs are only attached to zero-cross-edge component shards and only
 /// stepped when `chain == 1` (starts inject every cycle — the
 /// `all_input` fold baked into the transition table assumes it), which
-/// the dispatch sites guarantee.
+/// the dispatch in [`ShardedSession::step`] guarantees.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn step_shard_dfa<P: ExecutionPlan>(
+fn step_shard_dfa<P: ExecutionPlan>(
     shard: &Shard<P>,
     dfa: &CompiledDfa,
     lane: &mut ShardLane,
@@ -440,7 +415,7 @@ pub(crate) fn step_shard_dfa<P: ExecutionPlan>(
 /// through each state's [`ReportPhase`], and `limit` suppresses
 /// pad-byte reports exactly like the flat strided session.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn step_shard_pair<P: StridedPlan>(
+fn step_shard_pair<P: StridedPlan>(
     shard: &Shard<P>,
     lane: &mut ShardLane,
     a: u8,
@@ -591,7 +566,7 @@ pub struct ShardStats {
 }
 
 impl ShardStats {
-    pub(crate) fn new(num_shards: usize, num_states: usize) -> ShardStats {
+    fn new(num_shards: usize, num_states: usize) -> ShardStats {
         ShardStats {
             shard_cycles: vec![0; num_shards],
             state_active: vec![0; num_states],
@@ -604,11 +579,10 @@ impl ShardStats {
         self.shard_cycles.iter().sum()
     }
 
-    /// Accumulates another session's (or worker's) counters into this
-    /// one. Every field is a sum, so merging per-worker stats in any
-    /// order is lossless — the parallel runtime and multi-session
-    /// rollups produce exactly the counters one sequential session
-    /// would have. Shorter per-shard/per-state vectors are extended
+    /// Accumulates another session's counters into this one. Every
+    /// field is a sum, so merging per-thread stats in any order is
+    /// lossless — work-stealing and multi-session rollups produce
+    /// exactly the counters one sequential session would have. Shorter per-shard/per-state vectors are extended
     /// (merging into a `ShardStats::default()` accumulator works).
     pub fn merge(&mut self, other: &ShardStats) {
         if self.shard_cycles.len() < other.shard_cycles.len() {
@@ -660,22 +634,22 @@ impl ShardStats {
 #[derive(Clone, Debug)]
 pub struct ShardedSession<'p, P: PlanBase = CompiledAutomaton> {
     plan: &'p ShardedAutomaton<P>,
-    pub(crate) chain: usize,
-    pub(crate) skip_idle: bool,
-    pub(crate) lanes: Vec<ShardLane>,
+    chain: usize,
+    skip_idle: bool,
+    lanes: Vec<ShardLane>,
     /// Cross-shard activations staged during the per-shard pass,
     /// exchanged once per cycle (packed `shard << 32 | local`).
     exchange: Vec<u64>,
     /// This cycle's reports, sorted by global state before appending so
     /// report order matches the flat engine exactly.
     staged_reports: Vec<Report>,
-    pub(crate) cycle: usize,
+    cycle: usize,
     /// Strided plans: first byte of a pair whose second byte has not
     /// arrived yet. Always `None` for byte plans.
-    pub(crate) carry: Option<u8>,
-    pub(crate) result: RunResult,
-    pub(crate) fed: usize,
-    pub(crate) stats: ShardStats,
+    carry: Option<u8>,
+    result: RunResult,
+    fed: usize,
+    stats: ShardStats,
     /// Cached scatter scratch for the flat-[`Observer`] compatibility
     /// path ([`Session::feed_with`]); `None` until first used.
     flat_scratch: Option<Box<FlatViewScratch>>,
@@ -1047,55 +1021,6 @@ pub trait ShardedExecution: PlanBase + Sized {
     fn sort_reports(reports: &mut Vec<Report>) {
         let _ = reports;
     }
-
-    /// Maps a chunk of input bytes onto per-cycle step descriptors —
-    /// the chunk-level half of [`drive`](ShardedExecution::drive),
-    /// factored out so the parallel runtime can plan a chunk once and
-    /// hand the same step list to every worker. Byte plans emit one
-    /// step per symbol (start injection gated by `chain`); strided
-    /// plans emit one step per symbol pair, threading the dangling odd
-    /// byte through `carry`.
-    #[doc(hidden)]
-    fn plan_steps(
-        chunk: &[u8],
-        carry: &mut Option<u8>,
-        chain: usize,
-        start_cycle: usize,
-        out: &mut Vec<CycleStep>,
-    );
-
-    /// The finish-time counterpart of
-    /// [`plan_steps`](ShardedExecution::plan_steps): a pending strided
-    /// carry byte becomes one zero-padded final step whose pad-offset
-    /// reports are suppressed via `limit = fed`. Byte plans have no
-    /// carry and return `None`.
-    #[doc(hidden)]
-    fn flush_step(carry: &mut Option<u8>, fed: usize) -> Option<CycleStep> {
-        let _ = (carry, fed);
-        None
-    }
-
-    /// The per-shard idle probe for one step — `true` when the shard
-    /// can be skipped without touching a state word.
-    #[doc(hidden)]
-    fn shard_idle(
-        shard: &Shard<Self>,
-        lane: &ShardLane,
-        step: CycleStep,
-        first_cycle: bool,
-    ) -> bool;
-
-    /// Executes one step on one shard, writing reports, cross-shard
-    /// activations, and per-state tallies into `sinks`.
-    #[doc(hidden)]
-    fn step_shard(
-        shard: &Shard<Self>,
-        lane: &mut ShardLane,
-        step: CycleStep,
-        first_cycle: bool,
-        cycle: usize,
-        sinks: StepSinks<'_>,
-    ) -> StepOut;
 }
 
 /// The byte kernel: one symbol per cycle, start injection gated by the
@@ -1157,169 +1082,6 @@ fn flush_pairs<P: StridedPlan>(
     }
 }
 
-/// Step planning for byte plans: one step per symbol, start injection
-/// gated by the multi-step chain exactly like [`drive_byte`].
-fn plan_steps_byte(chunk: &[u8], chain: usize, start_cycle: usize, out: &mut Vec<CycleStep>) {
-    for (i, &symbol) in chunk.iter().enumerate() {
-        let inject = chain == 1 || (start_cycle + i).is_multiple_of(chain);
-        out.push(CycleStep {
-            a: symbol,
-            b: 0,
-            inject,
-            limit: usize::MAX,
-        });
-    }
-}
-
-/// Step planning for strided plans: one step per symbol pair with the
-/// carry byte threaded across chunk boundaries, exactly like
-/// [`drive_pairs`].
-fn plan_steps_pairs(chunk: &[u8], carry: &mut Option<u8>, chain: usize, out: &mut Vec<CycleStep>) {
-    assert_eq!(
-        chain, 1,
-        "multi-step chains are a byte-plan concept; strided plans consume pairs"
-    );
-    let mut chunk = chunk;
-    if let Some(a) = *carry {
-        let Some((&b, rest)) = chunk.split_first() else {
-            return;
-        };
-        *carry = None;
-        out.push(CycleStep {
-            a,
-            b,
-            inject: true,
-            limit: usize::MAX,
-        });
-        chunk = rest;
-    }
-    let mut pairs = chunk.chunks_exact(2);
-    for pair in pairs.by_ref() {
-        out.push(CycleStep {
-            a: pair[0],
-            b: pair[1],
-            inject: true,
-            limit: usize::MAX,
-        });
-    }
-    if let [last] = *pairs.remainder() {
-        *carry = Some(last);
-    }
-}
-
-/// The strided flush step: the carry byte, zero-padded, with the pad
-/// offset suppressed by `limit = fed`.
-fn flush_step_pairs(carry: &mut Option<u8>, fed: usize) -> Option<CycleStep> {
-    carry.take().map(|a| CycleStep {
-        a,
-        b: 0,
-        inject: true,
-        limit: fed,
-    })
-}
-
-/// The byte-plan hook set, shared by [`CompiledAutomaton`] and
-/// [`CompiledEncodedAutomaton`] via a macro so the delegation stays
-/// literal.
-macro_rules! byte_execution_hooks {
-    () => {
-        fn plan_steps(
-            chunk: &[u8],
-            carry: &mut Option<u8>,
-            chain: usize,
-            start_cycle: usize,
-            out: &mut Vec<CycleStep>,
-        ) {
-            let _ = carry;
-            plan_steps_byte(chunk, chain, start_cycle, out);
-        }
-
-        fn shard_idle(
-            shard: &Shard<Self>,
-            lane: &ShardLane,
-            step: CycleStep,
-            first_cycle: bool,
-        ) -> bool {
-            byte_shard_idle(shard, lane, step.a, step.inject, first_cycle)
-        }
-
-        fn step_shard(
-            shard: &Shard<Self>,
-            lane: &mut ShardLane,
-            step: CycleStep,
-            first_cycle: bool,
-            cycle: usize,
-            sinks: StepSinks<'_>,
-        ) -> StepOut {
-            match shard.dfa().filter(|_| lane.is_dfa) {
-                Some(dfa) => step_shard_dfa(
-                    shard,
-                    dfa,
-                    lane,
-                    step.a,
-                    step.inject,
-                    first_cycle,
-                    cycle,
-                    sinks,
-                ),
-                None => {
-                    step_shard_byte(shard, lane, step.a, step.inject, first_cycle, cycle, sinks)
-                }
-            }
-        }
-    };
-}
-
-/// The strided-plan hook set, shared by [`CompiledStridedAutomaton`]
-/// and [`CompiledEncodedStridedAutomaton`].
-macro_rules! pair_execution_hooks {
-    () => {
-        fn plan_steps(
-            chunk: &[u8],
-            carry: &mut Option<u8>,
-            chain: usize,
-            start_cycle: usize,
-            out: &mut Vec<CycleStep>,
-        ) {
-            let _ = start_cycle;
-            plan_steps_pairs(chunk, carry, chain, out);
-        }
-
-        fn flush_step(carry: &mut Option<u8>, fed: usize) -> Option<CycleStep> {
-            flush_step_pairs(carry, fed)
-        }
-
-        fn shard_idle(
-            shard: &Shard<Self>,
-            lane: &ShardLane,
-            step: CycleStep,
-            first_cycle: bool,
-        ) -> bool {
-            pair_shard_idle(shard, lane, step.a, step.b, first_cycle)
-        }
-
-        fn step_shard(
-            shard: &Shard<Self>,
-            lane: &mut ShardLane,
-            step: CycleStep,
-            first_cycle: bool,
-            cycle: usize,
-            sinks: StepSinks<'_>,
-        ) -> StepOut {
-            step_shard_pair(
-                shard,
-                lane,
-                step.a,
-                step.b,
-                step.limit,
-                first_cycle,
-                cycle,
-                sinks,
-            )
-        }
-    };
-}
-
 impl ShardedExecution for CompiledAutomaton {
     fn drive<O: ShardObserver>(
         session: &mut ShardedSession<'_, Self>,
@@ -1328,8 +1090,6 @@ impl ShardedExecution for CompiledAutomaton {
     ) {
         drive_byte(session, chunk, observer);
     }
-
-    byte_execution_hooks!();
 }
 
 impl ShardedExecution for CompiledEncodedAutomaton {
@@ -1340,8 +1100,6 @@ impl ShardedExecution for CompiledEncodedAutomaton {
     ) {
         drive_byte(session, chunk, observer);
     }
-
-    byte_execution_hooks!();
 }
 
 impl ShardedExecution for CompiledStridedAutomaton {
@@ -1360,8 +1118,6 @@ impl ShardedExecution for CompiledStridedAutomaton {
     fn sort_reports(reports: &mut Vec<Report>) {
         reports.sort_by_key(|r| (r.offset, r.ste));
     }
-
-    pair_execution_hooks!();
 }
 
 impl ShardedExecution for CompiledEncodedStridedAutomaton {
@@ -1380,8 +1136,6 @@ impl ShardedExecution for CompiledEncodedStridedAutomaton {
     fn sort_reports(reports: &mut Vec<Report>) {
         reports.sort_by_key(|r| (r.offset, r.ste));
     }
-
-    pair_execution_hooks!();
 }
 
 impl<'p, P: PlanBase> ShardedSession<'p, P> {

@@ -30,9 +30,8 @@ use cama::sim::control::{
 use cama::sim::frame::{encode_close, encode_frame};
 use cama::sim::{
     AutomataEngine, BatchSimulator, ByteSession, EncodedSession, EncodedSimulator,
-    EncodedStridedSimulator, FlowSession, FrameDecoder, InterpSimulator, ParallelShardedPlan,
-    ParallelShardedSession, RunResult, Session, ShardedSimulator, Simulator, StreamId, StreamPlan,
-    StridedSimulator,
+    EncodedStridedSimulator, FlowSession, FrameDecoder, InterpSimulator, RunResult, Session,
+    ShardedSimulator, Simulator, StreamId, StreamPlan, StridedSimulator,
 };
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -1434,173 +1433,43 @@ fn kernels_scalar_and_dispatched_agree_across_engines() {
     }
 }
 
-/// Worker counts the parallel runtime must stay bit-identical across:
-/// the sequential fallback (1), typical core counts, and an
-/// oversubscribed pool (7 workers over at-most-a-handful of shards —
-/// the session clamps to the shard count).
+/// Thread counts the work-stealing dispatcher must stay bit-identical
+/// across: the caller-thread fallback (1), typical core counts, and an
+/// oversubscribed count (7 threads over at-most-a-handful of streams —
+/// the dispatcher clamps to the stream count).
 fn parallel_worker_counts() -> [usize; 4] {
     [1, 2, 4, 7]
 }
 
-/// Feeds chunks through a parallel session (sequential observer-free
-/// fast path) and finishes; also returns the drained shard rollup so
-/// callers can compare it against the sequential engine's.
-fn via_parallel<P: cama::sim::ShardedExecution + 'static>(
-    plan: &ShardedAutomaton<P>,
-    workers: usize,
-    chunks: &[&[u8]],
-) -> (RunResult, cama::sim::ShardStats) {
-    let mut session = ParallelShardedSession::with_workers(plan, workers);
-    for chunk in chunks {
-        session.feed(chunk);
-    }
-    let result = session.finish();
-    (result, session.take_stats())
-}
-
-/// The multi-core tentpole invariant: for every plan flavour the
-/// sharded engine accepts — byte, encoded, strided, encoded strided;
-/// fixed two-way and per-component shardings — the worker-pinned
-/// parallel session produces a `RunResult` AND a `ShardStats` rollup
-/// bit-identical to the single-threaded `ShardedSession`, across
-/// one-shot and randomly chunked feeds, for every worker count
-/// including the oversubscribed one.
-#[test]
-fn parallel_sharded_equals_sequential_across_plans() {
-    fn check<P: cama::sim::ShardedExecution + 'static>(
-        plan: &ShardedAutomaton<P>,
-        input: &[u8],
-        chunks: &[&[u8]],
-        label: &str,
-    ) {
-        let mut seq = cama::sim::ShardedSession::new(plan);
-        seq.feed(input);
-        let expected = seq.finish();
-        let expected_stats = seq.take_stats();
-        for workers in parallel_worker_counts() {
-            let (one_shot, stats) = via_parallel(plan, workers, &[input]);
-            assert_eq!(one_shot, expected, "{label}, {workers} workers, one-shot");
-            assert_eq!(
-                stats, expected_stats,
-                "{label}, {workers} workers, stats rollup"
-            );
-            let (chunked, _) = via_parallel(plan, workers, chunks);
-            assert_eq!(chunked, expected, "{label}, {workers} workers, chunked");
-        }
-    }
-
-    for seed in 0..CASES {
-        let mut rng = StdRng::seed_from_u64(0x9A7A_0000 + seed);
-        let nfa = random_nfa(&mut rng);
-        let input = random_input(&mut rng);
-        let chunks = random_chunks(&mut rng, &input);
-        let (component_ids, _) = graph::component_ids(&nfa);
-
-        let two_way = ShardedAutomaton::compile(&nfa, 2);
-        check(&two_way, &input, &chunks, &format!("seed {seed}: byte/2"));
-        let per_cc = ShardedAutomaton::compile_with_assignment(&nfa, &component_ids);
-        check(&per_cc, &input, &chunks, &format!("seed {seed}: byte/cc"));
-
-        let encoding = EncodingPlan::for_nfa(&nfa);
-        let halved: Vec<u32> = (0..nfa.len() as u32).map(|i| i % 2).collect();
-        let encoded = encoding.compile_sharded(&nfa, &halved);
-        check(&encoded, &input, &chunks, &format!("seed {seed}: encoded"));
-
-        let strided = StridedNfa::from_nfa(&nfa);
-        let strided_plan = ShardedAutomaton::compile_strided(&strided, 2);
-        check(
-            &strided_plan,
-            &input,
-            &chunks,
-            &format!("seed {seed}: strided"),
-        );
-        let strided_encoding = StridedEncoding::for_strided(&strided);
-        let strided_halved: Vec<u32> = (0..strided.len() as u32).map(|i| i % 2).collect();
-        let encoded_strided = strided_encoding.compile_sharded(&strided, &strided_halved);
-        check(
-            &encoded_strided,
-            &input,
-            &chunks,
-            &format!("seed {seed}: encoded strided"),
-        );
-    }
-}
-
-/// Suspend/resume transparency through the parallel engine, and the
-/// parallel plan as a stream-table flavour: flows interleaved through a
-/// residency-capped `BatchSimulator` over a `ParallelShardedPlan` (park
-/// and resume cross worker-pool boundaries) compute bit-identically to
-/// flat one-shot runs.
-#[test]
-fn parallel_suspend_resume_and_capped_stream_table() {
-    for seed in 0..CASES {
-        let mut rng = StdRng::seed_from_u64(0x9A7A_1000 + seed);
-        let nfa = random_nfa(&mut rng);
-        let input = random_input(&mut rng);
-        let plan = ShardedAutomaton::compile(&nfa, 2);
-        let expected = {
-            let mut s = cama::sim::ShardedSession::new(&plan);
-            s.feed(&input);
-            s.finish()
-        };
-
-        // Park mid-stream at a random cut, serve interloper traffic,
-        // resume into a fresh parallel session.
-        let cut = rng.random_range(0..=input.len());
-        let mut a = ParallelShardedSession::with_workers(&plan, 3);
-        a.feed(&input[..cut]);
-        let parked = a.suspend();
-        a.feed(b"interloper traffic");
-        a.reset();
-        let mut b = ParallelShardedSession::with_workers(&plan, 2);
-        b.resume(parked);
-        b.feed(&input[cut..]);
-        assert_eq!(
-            b.finish(),
-            expected,
-            "seed {seed}: parallel park, cut {cut}"
-        );
-
-        // The parallel plan through a capped stream table: interleaved
-        // flows evict each other, so every flow round-trips through
-        // `SuspendedFlow` between feeds.
-        let flows: Vec<Vec<u8>> = (0..rng.random_range(2..5usize))
-            .map(|_| random_input(&mut rng))
-            .collect();
-        let mut flat = cama::sim::ShardedSimulator::new(&nfa, 2);
-        let expected: Vec<RunResult> = flows.iter().map(|f| flat.run(f)).collect();
-        let table_plan = ParallelShardedPlan::new(ShardedAutomaton::compile(&nfa, 2), 3);
-        for cap in [None, Some(1), Some(2)] {
-            let mut batch = BatchSimulator::new(&table_plan);
-            if let Some(cap) = cap {
-                batch = batch.max_resident(cap);
-            }
-            let mut remaining: Vec<&[u8]> = flows.iter().map(Vec::as_slice).collect();
-            while remaining.iter().any(|r| !r.is_empty()) {
-                for (id, rest) in remaining.iter_mut().enumerate() {
-                    if rest.is_empty() {
-                        continue;
-                    }
-                    let take = rng.random_range(1..=rest.len().min(5));
-                    let (piece, tail) = rest.split_at(take);
-                    batch.feed(id as StreamId, piece);
-                    *rest = tail;
-                }
-            }
-            let closed: Vec<RunResult> = (0..flows.len())
-                .map(|f| batch.close(f as StreamId))
-                .collect();
-            assert_eq!(closed, expected, "seed {seed}: parallel table, cap {cap:?}");
-        }
-    }
-}
-
-/// The work-stealing batch dispatcher: `run_parallel` results match the
+/// The work-stealing batch dispatcher: for every plan flavour the
+/// sharded engine accepts — byte (two-way and per-component), encoded,
+/// strided, encoded strided — `run_parallel` results match the
 /// sequential `run_all` for every thread count, and the merged
 /// `ShardStats` from `run_parallel_stats` equals the sequential
 /// stream-by-stream rollup folded through `ShardStats::merge`.
 #[test]
 fn work_stealing_batch_and_stats_merge_agree() {
+    fn check<P: cama::sim::ShardedExecution + Clone + std::fmt::Debug>(
+        plan: &ShardedAutomaton<P>,
+        streams: &[&[u8]],
+        label: &str,
+    ) {
+        let batch = BatchSimulator::new(plan);
+        let sequential = batch.run_all(streams.iter().copied());
+        let mut expected_stats = cama::sim::ShardStats::default();
+        for stream in streams {
+            let mut session = cama::sim::ShardedSession::new(plan);
+            session.feed(stream);
+            session.finish();
+            expected_stats.merge(&session.take_stats());
+        }
+        for threads in parallel_worker_counts() {
+            let (results, stats) = batch.run_parallel_stats(streams, threads);
+            assert_eq!(results, sequential, "{label}, {threads} threads");
+            assert_eq!(stats, expected_stats, "{label}, {threads} threads, stats");
+        }
+    }
+
     for seed in 0..CASES {
         let mut rng = StdRng::seed_from_u64(0x9A7A_2000 + seed);
         let nfa = random_nfa(&mut rng);
@@ -1608,21 +1477,29 @@ fn work_stealing_batch_and_stats_merge_agree() {
             .map(|_| random_input(&mut rng))
             .collect();
         let refs: Vec<&[u8]> = streams.iter().map(Vec::as_slice).collect();
-        let plan = ShardedAutomaton::compile(&nfa, 2);
-        let batch = BatchSimulator::new(&plan);
-        let sequential = batch.run_all(refs.iter().copied());
-        let mut expected_stats = cama::sim::ShardStats::default();
-        for stream in &refs {
-            let mut session = cama::sim::ShardedSession::new(&plan);
-            session.feed(stream);
-            session.finish();
-            expected_stats.merge(&session.take_stats());
-        }
-        for threads in parallel_worker_counts() {
-            let (results, stats) = batch.run_parallel_stats(&refs, threads);
-            assert_eq!(results, sequential, "seed {seed}, {threads} threads");
-            assert_eq!(stats, expected_stats, "seed {seed}, {threads} threads");
-        }
+        let (component_ids, _) = graph::component_ids(&nfa);
+
+        let two_way = ShardedAutomaton::compile(&nfa, 2);
+        check(&two_way, &refs, &format!("seed {seed}: byte/2"));
+        let per_cc = ShardedAutomaton::compile_with_assignment(&nfa, &component_ids);
+        check(&per_cc, &refs, &format!("seed {seed}: byte/cc"));
+
+        let encoding = EncodingPlan::for_nfa(&nfa);
+        let halved: Vec<u32> = (0..nfa.len() as u32).map(|i| i % 2).collect();
+        let encoded = encoding.compile_sharded(&nfa, &halved);
+        check(&encoded, &refs, &format!("seed {seed}: encoded"));
+
+        let strided = StridedNfa::from_nfa(&nfa);
+        let strided_plan = ShardedAutomaton::compile_strided(&strided, 2);
+        check(&strided_plan, &refs, &format!("seed {seed}: strided"));
+        let strided_encoding = StridedEncoding::for_strided(&strided);
+        let strided_halved: Vec<u32> = (0..strided.len() as u32).map(|i| i % 2).collect();
+        let encoded_strided = strided_encoding.compile_sharded(&strided, &strided_halved);
+        check(
+            &encoded_strided,
+            &refs,
+            &format!("seed {seed}: encoded strided"),
+        );
     }
 }
 
