@@ -230,10 +230,11 @@ fn bench_sharding(c: &mut Criterion) {
     let skewed = skewed_input(&nfa, INPUT_LEN);
     let static_plan = ShardedAutomaton::compile(&nfa, 16);
     let profile = {
+        let mut profile = ShardingProfile::new(nfa.len());
         let mut session = ShardedSession::new(&static_plan);
-        session.feed(&skewed);
+        session.feed_sharded_with(&skewed, &mut profile);
         session.finish();
-        ShardingProfile::from_stats(session.stats())
+        profile
     };
     let tuned_plan = ShardedAutomaton::compile_with_assignment(&nfa, &profile.assignment(&nfa, 16));
     group.bench_with_input(
@@ -276,10 +277,11 @@ fn bench_sharding(c: &mut Criterion) {
     let mut plan_cache = PlanCache::default();
     let (hot_nfa_plan, _) = compile_ruleset(&hot_nfa, 1, &mut plan_cache);
     let hybrid_policy = {
+        let mut profile = ShardingProfile::new(hot_nfa.len());
         let mut session = ShardedSession::new(&hot_nfa_plan);
-        session.feed(&hot_input);
+        session.feed_sharded_with(&hot_input, &mut profile);
         session.finish();
-        ShardingProfile::from_stats(session.stats()).dfa_policy(
+        profile.dfa_policy(
             DfaBudget {
                 max_states: 512,
                 max_table_bytes: 1 << 20,

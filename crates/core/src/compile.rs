@@ -691,7 +691,7 @@ pub fn compile_ruleset(
 ///
 /// Nomination is hottest-first — components ranked by summed observed
 /// per-state heat (`cama_sim::profile::ShardingProfile::dfa_policy`
-/// fills `heat` from measured `state_active` counters) — within a
+/// fills `heat` from a profiling run's observed activity) — within a
 /// global `memory_budget` over the accepted tables. The per-component
 /// [`DfaBudget`] caps are separate and *are* part of the cache salt
 /// ([`salt`](DfaPolicy::salt)): a cached determinization outcome is a

@@ -17,12 +17,24 @@
 //! part (last cycle's Next Vector) kept per stream. One immutable
 //! [`CompiledAutomaton`] can therefore drive any number of concurrent
 //! streams — see [`BatchSimulator`](crate::BatchSimulator).
+//!
+//! This module implements that loop exactly once. A crate-private
+//! `Lane` holds one state space's per-stream vectors, and its kernels
+//! are the two phases: `match_byte` / `match_pair` build the active
+//! vector, `transition` reports and expands successors, and `advance`
+//! ends the cycle. The flat sessions ([`ByteSession`],
+//! [`StridedSession`](crate::StridedSession)) step one lane over the
+//! whole plan; the [`ShardedSession`](crate::ShardedSession) steps one
+//! lane per shard. The kernels are generic over a state-id map, so the
+//! flat instantiation (the identity map) compiles to a loop with no id
+//! translation and no cross-shard staging.
 
 use crate::activity::{CycleView, NullObserver, Observer};
 use crate::session::{AutomataEngine, FlowSession, Session, SuspendedFlow};
 use cama_core::bitset::BitSet;
-use cama_core::compiled::{CompiledAutomaton, ExecutionPlan, StridedPlan};
-use cama_core::kernel;
+use cama_core::compiled::{
+    CompiledAutomaton, CrossTarget, ExecutionPlan, PlanBase, Shard, StridedPlan,
+};
 use cama_core::stride::ReportPhase;
 use cama_core::{Nfa, SteId};
 
@@ -42,9 +54,8 @@ pub(crate) fn sparse_clear(words: &mut [u64], summary: &mut [u64]) {
     }
 }
 
-/// Popcounts only the words the one-bit-per-word `summary` marks dirty —
-/// the sparse count shared by every engine's cached dynamic-state count.
-pub(crate) fn popcount_dirty(words: &[u64], summary: &[u64]) -> usize {
+/// Popcounts only the words the one-bit-per-word `summary` marks dirty.
+fn popcount_dirty(words: &[u64], summary: &[u64]) -> usize {
     let mut count = 0usize;
     for (j, &any) in summary.iter().enumerate() {
         let mut dirty = any;
@@ -56,45 +67,98 @@ pub(crate) fn popcount_dirty(words: &[u64], summary: &[u64]) -> usize {
     count
 }
 
-/// The per-stream mutable half of a simulation: enable/active vectors
-/// and the cycle counter. All automaton structure lives in the shared
-/// [`CompiledAutomaton`].
-#[derive(Clone, Debug)]
-pub(crate) struct CycleState {
-    /// Dynamic enable vector (last cycle's Next Vector).
-    dynamic: BitSet,
-    /// Scratch: next cycle's dynamic enable vector.
-    next: BitSet,
-    /// Scratch: this cycle's active set.
-    active: BitSet,
-    /// One-bit-per-word nonzero summaries of the three vectors, kept in
-    /// lockstep so clears and scans only touch dirty 64-state words.
-    dynamic_any: Vec<u64>,
-    next_any: Vec<u64>,
-    active_any: Vec<u64>,
-    /// Scratch summary of words touched within one pair cycle, so the
-    /// strided kernel's visited-word count is per distinct word, not
-    /// per (word, enable source) pass.
-    touched_any: Vec<u64>,
-    /// Popcount of `dynamic`, maintained at vector-advance time so the
-    /// per-cycle activity accounting never re-counts the vector.
-    num_dynamic: usize,
-    cycle: usize,
+/// How a lane's local state ids appear outside the lane: the global id
+/// reports carry, and the cross-shard successors phase 2 stages.
+pub(crate) trait StateMap {
+    /// The global id of local state `local`.
+    fn global(&self, local: usize) -> u32;
+
+    /// The successors of `local` living in other lanes.
+    fn cross(&self, local: usize) -> &[CrossTarget];
 }
 
-impl CycleState {
-    pub(crate) fn new(len: usize) -> CycleState {
+/// The flat engines' map: one lane spans the whole plan, so local ids
+/// are global ids and no edge leaves the lane.
+pub(crate) struct Identity;
+
+impl StateMap for Identity {
+    #[inline]
+    fn global(&self, local: usize) -> u32 {
+        local as u32
+    }
+
+    #[inline]
+    fn cross(&self, _local: usize) -> &[CrossTarget] {
+        &[]
+    }
+}
+
+impl<P: PlanBase> StateMap for Shard<P> {
+    #[inline]
+    fn global(&self, local: usize) -> u32 {
+        self.global_states()[local]
+    }
+
+    #[inline]
+    fn cross(&self, local: usize) -> &[CrossTarget] {
+        self.cross_successors(local)
+    }
+}
+
+/// What one lane-cycle contributed to the cycle's totals.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct CycleOut {
+    pub(crate) num_active: usize,
+    pub(crate) reports: usize,
+}
+
+/// The report of a strided state: `(code, absolute byte offset)` from
+/// its [`ReportPhase`], or `None` when the offset is at or past `limit`
+/// (only the final zero-padded flush pair passes a finite limit).
+#[inline]
+pub(crate) fn pair_report<P: StridedPlan>(
+    plan: &P,
+    state: usize,
+    cycle: usize,
+    limit: usize,
+) -> Option<(u32, usize)> {
+    let (code, phase) = plan.report_pair_unchecked(state);
+    let offset = match phase {
+        ReportPhase::First => cycle * 2,
+        ReportPhase::Second => cycle * 2 + 1,
+    };
+    (offset < limit).then_some((code, offset))
+}
+
+/// One state space's mutable half of a stream: the dynamic (last
+/// cycle's Next Vector), next, and active vectors with one-bit-per-word
+/// nonzero summaries kept in lockstep, so clears and scans only touch
+/// dirty 64-state words. All automaton structure lives in the shared
+/// plan.
+#[derive(Clone, Debug)]
+pub(crate) struct Lane {
+    pub(crate) dynamic: BitSet,
+    pub(crate) next: BitSet,
+    pub(crate) active: BitSet,
+    pub(crate) dynamic_any: Vec<u64>,
+    pub(crate) next_any: Vec<u64>,
+    pub(crate) active_any: Vec<u64>,
+    /// Popcount of `dynamic`, maintained at the cycle-end advance so
+    /// per-cycle accounting never re-counts the vector.
+    pub(crate) num_dynamic: usize,
+}
+
+impl Lane {
+    pub(crate) fn new(len: usize) -> Lane {
         let summary_words = len.div_ceil(64).div_ceil(64);
-        CycleState {
+        Lane {
             dynamic: BitSet::new(len),
             next: BitSet::new(len),
             active: BitSet::new(len),
             dynamic_any: vec![0; summary_words],
             next_any: vec![0; summary_words],
             active_any: vec![0; summary_words],
-            touched_any: vec![0; summary_words],
             num_dynamic: 0,
-            cycle: 0,
         }
     }
 
@@ -106,42 +170,51 @@ impl CycleState {
         self.next_any.iter_mut().for_each(|w| *w = 0);
         self.active_any.iter_mut().for_each(|w| *w = 0);
         self.num_dynamic = 0;
-        self.cycle = 0;
     }
 
-    /// Executes one cycle against `plan`. `inject_starts` is `true` when
-    /// all-input starts are enabled this cycle (always, for byte
-    /// automata; on group boundaries for multi-step automata).
-    /// Start-of-data states fire at cycle 0 regardless.
-    ///
-    /// The cycle visits only the 64-state words that can possibly be
-    /// active — the intersection of the plan's per-symbol match summary
-    /// with the enable-source summaries (the software form of CAMA's
-    /// selective precharge). Within a visited word,
-    /// `active = match_table[symbol] & (dynamic ∪ starts)`, and the
-    /// popcounts, report scan, and successor expansion all run while the
-    /// word is hot.
-    pub(crate) fn step(
+    /// `true` when no state is dynamically enabled.
+    pub(crate) fn dynamic_is_empty(&self) -> bool {
+        self.dynamic_any.iter().all(|&w| w == 0)
+    }
+
+    /// Enables `state` in the dynamic vector — how a suspended stream's
+    /// sparse dynamic set is restored.
+    pub(crate) fn insert_dynamic(&mut self, state: usize) {
+        if !self.dynamic.contains(state) {
+            self.dynamic.insert(state);
+            self.dynamic_any[state / 4096] |= 1u64 << ((state / 64) % 64);
+            self.num_dynamic += 1;
+        }
+    }
+
+    /// Enables `state` in the next vector — the one write the
+    /// cross-shard exchange performs per staged activation.
+    #[inline]
+    pub(crate) fn insert_next(&mut self, state: usize) {
+        self.next.as_words_mut()[state / 64] |= 1u64 << (state % 64);
+        self.next_any[state / 4096] |= 1u64 << ((state / 64) % 64);
+    }
+
+    /// Phase 1 of a byte cycle: `active = match[symbol] & (dynamic ∪
+    /// starts)`, visiting only the words the match summary and an
+    /// enable-source summary both mark — the software form of CAMA's
+    /// selective precharge. `inject_starts` is `true` when all-input
+    /// starts are enabled this cycle (always, for byte automata; on
+    /// group boundaries for multi-step automata); start-of-data states
+    /// join on the first cycle.
+    #[inline]
+    pub(crate) fn match_byte<P: ExecutionPlan>(
         &mut self,
-        plan: &impl ExecutionPlan,
+        plan: &P,
         symbol: u8,
         inject_starts: bool,
-        result: &mut RunResult,
-        observer: &mut impl Observer,
+        first_cycle: bool,
     ) {
-        let first_cycle = self.cycle == 0;
         let match_words = plan.match_vector(symbol).words();
         let match_any = plan.match_any(symbol);
-        let sod_words = plan.start_of_data_mask().as_words();
-        let sod_any = plan.start_of_data_any();
-        let report_words = plan.report_mask().as_words();
 
-        // Sparse-clear the previous cycle's active words.
         sparse_clear(self.active.as_words_mut(), &mut self.active_any);
         let active_words = self.active.as_words_mut();
-
-        // Phase 1: build the active vector from its three sources,
-        // visiting only words their summaries mark.
         if inject_starts {
             // Statically enabled starts that match: precompiled rows.
             let start_words = plan.start_match(symbol).words();
@@ -156,7 +229,6 @@ impl CycleState {
             }
         }
         let dynamic_words = self.dynamic.as_words();
-        let num_dynamic = self.num_dynamic;
         for (j, &dynamic_any) in self.dynamic_any.iter().enumerate() {
             let mut dirty = match_any[j] & dynamic_any;
             while dirty != 0 {
@@ -170,7 +242,8 @@ impl CycleState {
             }
         }
         if first_cycle {
-            for (j, &any) in sod_any.iter().enumerate() {
+            let sod_words = plan.start_of_data_mask().as_words();
+            for (j, &any) in plan.start_of_data_any().iter().enumerate() {
                 let mut dirty = match_any[j] & any;
                 while dirty != 0 {
                     let w = j * 64 + dirty.trailing_zeros() as usize;
@@ -183,109 +256,27 @@ impl CycleState {
                 }
             }
         }
-
-        // Phase 2: one ordered pass over the active words — popcounts,
-        // the report scan, and the successor expansion while each word
-        // is hot.
-        let next_words = self.next.as_words_mut();
-        let mut num_active = 0usize;
-        let mut reports_this_cycle = 0usize;
-        for (j, &active_any) in self.active_any.iter().enumerate() {
-            let mut dirty = active_any;
-            while dirty != 0 {
-                let w = j * 64 + dirty.trailing_zeros() as usize;
-                dirty &= dirty - 1;
-                let active = active_words[w];
-                num_active += active.count_ones() as usize;
-
-                let mut reporting = active & report_words[w];
-                while reporting != 0 {
-                    let state = w * 64 + reporting.trailing_zeros() as usize;
-                    result.reports.push(Report {
-                        ste: SteId(state as u32),
-                        code: plan.report_code_unchecked(state),
-                        offset: self.cycle,
-                    });
-                    reports_this_cycle += 1;
-                    reporting &= reporting - 1;
-                }
-
-                let mut remaining = active;
-                while remaining != 0 {
-                    let state = w * 64 + remaining.trailing_zeros() as usize;
-                    for &succ in plan.successors(state) {
-                        let succ = succ as usize;
-                        next_words[succ / 64] |= 1u64 << (succ % 64);
-                        self.next_any[succ / 4096] |= 1u64 << ((succ / 64) % 64);
-                    }
-                    remaining &= remaining - 1;
-                }
-            }
-        }
-
-        result
-            .activity
-            .record(num_active, num_dynamic, reports_this_cycle);
-        observer.on_cycle(&CycleView {
-            cycle: self.cycle,
-            symbol,
-            dynamic_enabled: &self.dynamic,
-            active: &self.active,
-            reports: reports_this_cycle,
-        });
-
-        // The next vector becomes the dynamic vector; the old dynamic
-        // storage is sparse-cleared and reused as next cycle's scratch.
-        std::mem::swap(&mut self.dynamic, &mut self.next);
-        std::mem::swap(&mut self.dynamic_any, &mut self.next_any);
-        sparse_clear(self.next.as_words_mut(), &mut self.next_any);
-        self.num_dynamic = popcount_dirty(self.dynamic.as_words(), &self.dynamic_any);
-        self.cycle += 1;
     }
 
-    /// Executes one *pair* cycle against a [`StridedPlan`]: the strided
-    /// counterpart of [`step`](CycleState::step), consuming the symbol
-    /// pair `(a, b)`.
-    ///
-    /// Per 64-state word, `active = first[a] & second[b] & (dynamic ∪
-    /// all-input starts ∪ start-of-data on cycle 0)`; the cycle visits
-    /// only words where both halves' match summaries *and* an
-    /// enable-source summary are set — the 2-stride form of CAMA's
-    /// selective precharge. Reports map through each state's
-    /// [`ReportPhase`] to absolute byte offsets (`2·cycle` or
-    /// `2·cycle + 1`); `limit` suppresses reports at or past it (only
-    /// the final zero-padded flush pair passes a finite limit).
-    ///
-    /// Returns the number of 64-state words visited.
-    pub(crate) fn step_pair(
-        &mut self,
-        plan: &impl StridedPlan,
-        a: u8,
-        b: u8,
-        limit: usize,
-        result: &mut RunResult,
-        observer: &mut impl Observer,
-    ) -> u64 {
-        let first_cycle = self.cycle == 0;
+    /// Phase 1 of a pair cycle: `active = first[a] & second[b] &
+    /// (dynamic ∪ all-input starts ∪ start-of-data on the first
+    /// cycle)`, visiting only words both halves' summaries *and* an
+    /// enable-source summary mark — the 2-stride form of selective
+    /// precharge.
+    #[inline]
+    pub(crate) fn match_pair<P: StridedPlan>(&mut self, plan: &P, a: u8, b: u8, first_cycle: bool) {
         let first_words = plan.first_vector(a).words();
         let first_any = plan.first_any(a);
         let second_words = plan.second_vector(b).words();
         let second_any = plan.second_any(b);
-        let sod_words = plan.start_of_data_mask().as_words();
-        let sod_any = plan.start_of_data_any();
 
         sparse_clear(self.active.as_words_mut(), &mut self.active_any);
         let active_words = self.active.as_words_mut();
-        self.touched_any.iter_mut().for_each(|w| *w = 0);
-
-        // Phase 1: build the active vector from its enable sources,
-        // visiting only words both halves and a source summary mark.
         // Start injection: first_start_match[a] & second[b]
         // (= first[a] & all_input & second[b]).
         let start_words = plan.first_start_match(a).words();
         for (j, &any) in plan.first_start_match_any(a).iter().enumerate() {
             let mut dirty = any & second_any[j];
-            self.touched_any[j] |= dirty;
             while dirty != 0 {
                 let w = j * 64 + dirty.trailing_zeros() as usize;
                 dirty &= dirty - 1;
@@ -297,10 +288,8 @@ impl CycleState {
             }
         }
         let dynamic_words = self.dynamic.as_words();
-        let num_dynamic = self.num_dynamic;
         for (j, &dynamic_any) in self.dynamic_any.iter().enumerate() {
             let mut dirty = first_any[j] & second_any[j] & dynamic_any;
-            self.touched_any[j] |= dirty;
             while dirty != 0 {
                 let w = j * 64 + dirty.trailing_zeros() as usize;
                 dirty &= dirty - 1;
@@ -312,9 +301,9 @@ impl CycleState {
             }
         }
         if first_cycle {
-            for (j, &any) in sod_any.iter().enumerate() {
+            let sod_words = plan.start_of_data_mask().as_words();
+            for (j, &any) in plan.start_of_data_any().iter().enumerate() {
                 let mut dirty = first_any[j] & second_any[j] & any;
-                self.touched_any[j] |= dirty;
                 while dirty != 0 {
                     let w = j * 64 + dirty.trailing_zeros() as usize;
                     dirty &= dirty - 1;
@@ -326,177 +315,138 @@ impl CycleState {
                 }
             }
         }
-
-        let visited: u64 = self
-            .touched_any
-            .iter()
-            .map(|w| u64::from(w.count_ones()))
-            .sum();
-        self.finish_pair_cycle(plan, a, limit, None, num_dynamic, result, observer);
-        visited
     }
 
-    /// The non-selective ("every word precharged") form of
-    /// [`step_pair`](CycleState::step_pair): one fused
-    /// [`kernel::and2_or2_summarize`] sweep computing `first[a] &
-    /// second[b] & (dynamic | static starts)` over every word — the
-    /// baseline the `strided` bench group compares selective visitation
-    /// against. Results are identical.
-    ///
-    /// `enabled` is caller-provided scratch sized to the plan; only the
-    /// first cycle uses it (to widen the static starts with the
-    /// start-of-data mask).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn step_pair_naive(
-        &mut self,
-        plan: &impl StridedPlan,
+    /// The number of distinct 64-state words
+    /// [`match_pair`](Self::match_pair) visits for `(a, b)`: one per
+    /// word any enable source's filter marks, however many sources
+    /// mark it.
+    pub(crate) fn pair_words_visited<P: StridedPlan>(
+        &self,
+        plan: &P,
         a: u8,
         b: u8,
-        limit: usize,
-        enabled: &mut BitSet,
-        result: &mut RunResult,
-        observer: &mut impl Observer,
+        first_cycle: bool,
     ) -> u64 {
-        let static_mask: &[u64] = if self.cycle == 0 {
-            enabled.copy_from(plan.all_input_mask());
-            enabled.union_with(plan.start_of_data_mask());
-            enabled.as_words()
-        } else {
-            plan.all_input_mask().as_words()
-        };
-        let num_dynamic = self.num_dynamic;
-        let num_active = kernel::and2_or2_summarize(
-            plan.first_vector(a).words(),
-            plan.second_vector(b).words(),
-            self.dynamic.as_words(),
-            static_mask,
-            self.active.as_words_mut(),
-            &mut self.active_any,
-        );
-        let visited = self.active.as_words().len() as u64;
-
-        self.finish_pair_cycle(
-            plan,
-            a,
-            limit,
-            Some(num_active as usize),
-            num_dynamic,
-            result,
-            observer,
-        );
-        visited
+        let (first_any, second_any) = (plan.first_any(a), plan.second_any(b));
+        let starts = plan.first_start_match_any(a);
+        let sod = plan.start_of_data_any();
+        (0..self.dynamic_any.len())
+            .map(|j| {
+                let enabled = self.dynamic_any[j] | if first_cycle { sod[j] } else { 0 };
+                let touched = starts[j] & second_any[j] | first_any[j] & second_any[j] & enabled;
+                u64::from(touched.count_ones())
+            })
+            .sum()
     }
 
-    /// Phase 2 of a pair cycle, shared by the selective and naive
-    /// forms: one ordered pass over the active words — popcounts, the
-    /// phase-mapped report scan, and the successor expansion while each
-    /// word is hot — then the per-cycle accounting and vector advance.
-    ///
-    /// `precounted` carries the active popcount when phase 1 already
-    /// produced it (the naive path's fused kernel returns it for free);
-    /// `None` makes this pass count during the walk.
-    #[allow(clippy::too_many_arguments)]
-    fn finish_pair_cycle(
+    /// Phase 2: one ordered pass over the active words — popcounts,
+    /// the report scan, and the successor expansion while each word is
+    /// hot. `report` maps a reporting local state to its `(code,
+    /// offset)`, or `None` to suppress it; reports carry `map`'s global
+    /// ids. Local successors land in the next vector; cross-lane
+    /// successors are staged into `exchange` (packed `shard << 32 |
+    /// local`).
+    #[inline]
+    pub(crate) fn transition<P: PlanBase, M: StateMap>(
         &mut self,
-        plan: &impl StridedPlan,
-        a: u8,
-        limit: usize,
-        precounted: Option<usize>,
-        num_dynamic: usize,
-        result: &mut RunResult,
-        observer: &mut impl Observer,
-    ) {
+        plan: &P,
+        map: &M,
+        report: impl Fn(usize) -> Option<(u32, usize)>,
+        reports: &mut Vec<Report>,
+        exchange: &mut Vec<u64>,
+    ) -> CycleOut {
         let report_words = plan.report_mask().as_words();
         let active_words = self.active.as_words();
         let next_words = self.next.as_words_mut();
-        let mut num_active = precounted.unwrap_or(0);
-        let mut reports_this_cycle = 0usize;
+        let mut out = CycleOut {
+            num_active: 0,
+            reports: 0,
+        };
         for (j, &active_any) in self.active_any.iter().enumerate() {
             let mut dirty = active_any;
             while dirty != 0 {
                 let w = j * 64 + dirty.trailing_zeros() as usize;
                 dirty &= dirty - 1;
                 let active = active_words[w];
-                if precounted.is_none() {
-                    num_active += active.count_ones() as usize;
-                }
+                out.num_active += active.count_ones() as usize;
 
                 let mut reporting = active & report_words[w];
                 while reporting != 0 {
-                    let state = w * 64 + reporting.trailing_zeros() as usize;
-                    let (code, phase) = plan.report_pair_unchecked(state);
-                    let offset = match phase {
-                        ReportPhase::First => self.cycle * 2,
-                        ReportPhase::Second => self.cycle * 2 + 1,
-                    };
-                    // Suppress reports landing on the pad byte.
-                    if offset < limit {
-                        result.reports.push(Report {
-                            ste: SteId(state as u32),
+                    let local = w * 64 + reporting.trailing_zeros() as usize;
+                    if let Some((code, offset)) = report(local) {
+                        reports.push(Report {
+                            ste: SteId(map.global(local)),
                             code,
                             offset,
                         });
-                        reports_this_cycle += 1;
+                        out.reports += 1;
                     }
                     reporting &= reporting - 1;
                 }
 
                 let mut remaining = active;
                 while remaining != 0 {
-                    let state = w * 64 + remaining.trailing_zeros() as usize;
-                    for &succ in plan.successors(state) {
+                    let local = w * 64 + remaining.trailing_zeros() as usize;
+                    for &succ in plan.successors(local) {
                         let succ = succ as usize;
                         next_words[succ / 64] |= 1u64 << (succ % 64);
                         self.next_any[succ / 4096] |= 1u64 << ((succ / 64) % 64);
+                    }
+                    for t in map.cross(local) {
+                        exchange.push(u64::from(t.shard) << 32 | u64::from(t.local));
                     }
                     remaining &= remaining - 1;
                 }
             }
         }
+        out
+    }
 
-        result
-            .activity
-            .record(num_active, num_dynamic, reports_this_cycle);
-        observer.on_cycle(&CycleView {
-            cycle: self.cycle,
-            symbol: a,
-            dynamic_enabled: &self.dynamic,
-            active: &self.active,
-            reports: reports_this_cycle,
-        });
-
+    /// Ends the cycle: next becomes dynamic; the old dynamic storage is
+    /// sparse-cleared and reused as next cycle's scratch.
+    #[inline]
+    pub(crate) fn advance(&mut self) {
         std::mem::swap(&mut self.dynamic, &mut self.next);
         std::mem::swap(&mut self.dynamic_any, &mut self.next_any);
         sparse_clear(self.next.as_words_mut(), &mut self.next_any);
         self.num_dynamic = popcount_dirty(self.dynamic.as_words(), &self.dynamic_any);
-        self.cycle += 1;
     }
 
-    pub(crate) fn cycle(&self) -> usize {
-        self.cycle
+    /// The flat sessions' cycle epilogue: the activity record, the
+    /// observer's view of the cycle, then the [`advance`](Self::advance).
+    pub(crate) fn end_flat_cycle(
+        &mut self,
+        cycle: usize,
+        symbol: u8,
+        out: CycleOut,
+        result: &mut RunResult,
+        observer: &mut impl Observer,
+    ) {
+        result
+            .activity
+            .record(out.num_active, self.num_dynamic, out.reports);
+        observer.on_cycle(&CycleView {
+            cycle,
+            symbol,
+            dynamic_enabled: &self.dynamic,
+            active: &self.active,
+            reports: out.reports,
+        });
+        self.advance();
     }
 
-    /// `true` when no state is dynamically enabled.
-    pub(crate) fn dynamic_is_empty(&self) -> bool {
-        self.dynamic_any.iter().all(|&w| w == 0)
+    /// A flat session's suspended dynamic set (sorted state ids).
+    pub(crate) fn snapshot(&self) -> Vec<u32> {
+        self.dynamic.iter().map(|i| i as u32).collect()
     }
 
-    /// Appends the indices of the dynamically enabled states to `out`.
-    pub(crate) fn snapshot_dynamic(&self, out: &mut Vec<u32>) {
-        out.extend(self.dynamic.iter().map(|i| i as u32));
-    }
-
-    /// Restores a suspended stream into this (fresh) state: the cycle
-    /// offset plus the sparse dynamic set.
-    pub(crate) fn restore(&mut self, cycle: usize, dynamic: &[u32]) {
-        debug_assert!(self.cycle == 0 && self.dynamic_is_empty());
-        self.cycle = cycle;
+    /// Restores a [`snapshot`](Self::snapshot) into this fresh lane.
+    pub(crate) fn restore(&mut self, dynamic: &[u32]) {
+        debug_assert!(self.dynamic_is_empty());
         for &state in dynamic {
-            let state = state as usize;
-            self.dynamic.insert(state);
-            self.dynamic_any[state / 4096] |= 1u64 << ((state / 64) % 64);
+            self.insert_dynamic(state as usize);
         }
-        self.num_dynamic = self.dynamic.count();
     }
 }
 
@@ -535,7 +485,8 @@ pub struct ByteSession<'p, P: ExecutionPlan = CompiledAutomaton> {
     /// Sub-symbols per original symbol; starts are injected on cycles
     /// that are multiples of this.
     chain: usize,
-    state: CycleState,
+    lane: Lane,
+    cycle: usize,
     result: RunResult,
     fed: usize,
 }
@@ -558,7 +509,8 @@ impl<'p, P: ExecutionPlan> ByteSession<'p, P> {
         ByteSession {
             plan,
             chain,
-            state: CycleState::new(plan.len()),
+            lane: Lane::new(plan.len()),
+            cycle: 0,
             result: RunResult::default(),
             fed: 0,
         }
@@ -573,20 +525,42 @@ impl<'p, P: ExecutionPlan> ByteSession<'p, P> {
     pub fn chain(&self) -> usize {
         self.chain
     }
+
+    /// Executes one cycle: the shared byte kernels on the whole-plan
+    /// lane.
+    fn step(&mut self, symbol: u8, inject_starts: bool, observer: &mut impl Observer) {
+        let (plan, cycle) = (self.plan, self.cycle);
+        self.lane
+            .match_byte(plan, symbol, inject_starts, cycle == 0);
+        let out = self.lane.transition(
+            plan,
+            &Identity,
+            |state| Some((plan.report_code_unchecked(state), cycle)),
+            &mut self.result.reports,
+            &mut Vec::new(),
+        );
+        self.lane
+            .end_flat_cycle(cycle, symbol, out, &mut self.result, observer);
+        self.cycle += 1;
+    }
+
+    fn reset_state(&mut self) {
+        self.lane.reset();
+        self.cycle = 0;
+        self.fed = 0;
+    }
 }
 
 impl<P: ExecutionPlan> Session for ByteSession<'_, P> {
     fn feed_with(&mut self, chunk: &[u8], observer: &mut impl Observer) {
         if self.chain == 1 {
             for &symbol in chunk {
-                self.state
-                    .step(self.plan, symbol, true, &mut self.result, observer);
+                self.step(symbol, true, observer);
             }
         } else {
             for &symbol in chunk {
-                let inject = self.state.cycle().is_multiple_of(self.chain);
-                self.state
-                    .step(self.plan, symbol, inject, &mut self.result, observer);
+                let inject = self.cycle.is_multiple_of(self.chain);
+                self.step(symbol, inject, observer);
             }
         }
         self.fed += chunk.len();
@@ -594,14 +568,12 @@ impl<P: ExecutionPlan> Session for ByteSession<'_, P> {
 
     fn finish_with(&mut self, _observer: &mut impl Observer) -> RunResult {
         let result = std::mem::take(&mut self.result);
-        self.state.reset();
-        self.fed = 0;
+        self.reset_state();
         result
     }
 
     fn reset(&mut self) {
-        self.state.reset();
-        self.fed = 0;
+        self.reset_state();
         self.result.reports.clear();
         self.result.activity = Default::default();
     }
@@ -617,30 +589,29 @@ impl<P: ExecutionPlan> Session for ByteSession<'_, P> {
 
 impl<P: ExecutionPlan> FlowSession for ByteSession<'_, P> {
     fn suspend(&mut self) -> SuspendedFlow {
-        let mut dynamic = Vec::new();
-        self.state.snapshot_dynamic(&mut dynamic);
         let flow = SuspendedFlow {
-            cycle: self.state.cycle(),
+            cycle: self.cycle,
             fed: self.fed,
-            dynamic,
+            dynamic: self.lane.snapshot(),
             carry: None,
             result: std::mem::take(&mut self.result),
             dfa: Vec::new(),
         };
-        self.state.reset();
-        self.fed = 0;
+        self.reset_state();
         flow
     }
 
     fn resume(&mut self, flow: SuspendedFlow) {
         debug_assert!(flow.carry.is_none(), "byte sessions carry no odd byte");
-        self.state.restore(flow.cycle, &flow.dynamic);
+        debug_assert_eq!(self.cycle, 0);
+        self.lane.restore(&flow.dynamic);
+        self.cycle = flow.cycle;
         self.fed = flow.fed;
         self.result = flow.result;
     }
 
     fn is_idle(&self) -> bool {
-        self.state.dynamic_is_empty()
+        self.lane.dynamic_is_empty()
     }
 
     fn for_each_active_shard(&self, mut f: impl FnMut(usize)) {

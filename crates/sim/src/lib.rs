@@ -5,10 +5,11 @@
 //! two-phase loop per input symbol: *state matching* (which STEs accept
 //! the symbol) followed by *state transition* (AND with the enable vector,
 //! report, and compute the next enable vector). This crate implements that
-//! loop exactly, once, over the dense
-//! [`CompiledAutomaton`](cama_core::compiled::CompiledAutomaton) layout,
-//! so that the architecture models in `cama-arch` can attach
-//! energy/activity observers to a single trusted engine.
+//! loop exactly, once: one set of phase kernels in [`engine`] steps a
+//! per-stream lane of enable vectors, and every session type — byte,
+//! encoded, strided, encoded strided, and sharded (one lane per shard) —
+//! calls those kernels, so that the architecture models in `cama-arch`
+//! can attach energy/activity observers to a single trusted engine.
 //!
 //! * [`Simulator`] — byte-per-cycle execution of an
 //!   [`Nfa`](cama_core::Nfa) (compiles a plan internally);
@@ -47,9 +48,9 @@
 //!   per-half encoding codebooks, and the sharded engine and stream
 //!   table accept both strided plan flavours;
 //! * [`profile`] — profile-guided shard assignment: per-state activity
-//!   from a measured run ([`ShardStats::state_active`]) packed into a
-//!   heat-sorted sharding that concentrates hot states and leaves cold
-//!   arrays skippable;
+//!   counted by a [`ShardingProfile`] observer attached to a measured
+//!   run, packed into a heat-sorted sharding that concentrates hot
+//!   states and leaves cold arrays skippable;
 //! * [`activity`] — the per-cycle observer interface and summary
 //!   statistics the energy models consume;
 //! * [`buffers`] — the 128-entry input / 64-entry output buffer

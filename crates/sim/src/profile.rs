@@ -1,5 +1,5 @@
-//! Profile-guided shard assignment: turning one measured run's
-//! [`ShardStats`] into a better per-state shard placement.
+//! Profile-guided shard assignment: turning one observed run's
+//! per-state activity into a better per-state shard placement.
 //!
 //! Component-balanced sharding ([`ShardedAutomaton::compile`]) only
 //! sees the automaton's *structure*: it packs connected components by
@@ -9,8 +9,8 @@
 //! hot components across every shard, so every array powers up every
 //! cycle and idle-shard skipping has nothing to skip.
 //!
-//! [`ShardingProfile`] closes the loop. A profiling run records
-//! per-state activation counts in [`ShardStats::state_active`]; the
+//! [`ShardingProfile`] closes the loop. Attached to a profiling run as
+//! a [`ShardObserver`], it counts how often each state was active; the
 //! profile orders components by that measured heat and packs them
 //! greedily — hottest first onto the least-loaded *hot* shards,
 //! coldest last onto whatever space remains — so activity concentrates
@@ -18,7 +18,8 @@
 //! engine can skip. The derived assignment feeds
 //! [`ShardedAutomaton::compile_with_assignment`]; results stay
 //! bit-identical to every other sharding, only the visited-word and
-//! skipped-cycle counters move.
+//! skipped-cycle counters move. Runs without the observer attached pay
+//! nothing for it.
 //!
 //! ```
 //! use cama_core::compiled::ShardedAutomaton;
@@ -29,10 +30,10 @@
 //! let baseline = ShardedAutomaton::compile(&nfa, 2);
 //!
 //! // 1. Profile a representative sample on the static sharding.
+//! let mut profile = ShardingProfile::new(nfa.len());
 //! let mut session = ShardedSession::new(&baseline);
-//! session.feed(b"zabbbcabcab");
+//! session.feed_sharded_with(b"zabbbcabcab", &mut profile);
 //! session.finish();
-//! let profile = ShardingProfile::from_stats(session.stats());
 //!
 //! // 2. Re-shard along the measured heat and run the real workload.
 //! let tuned = ShardedAutomaton::compile_with_assignment(
@@ -48,14 +49,18 @@
 //! [`ShardedAutomaton::compile`]: cama_core::compiled::ShardedAutomaton::compile
 //! [`ShardedAutomaton::compile_with_assignment`]: cama_core::compiled::ShardedAutomaton::compile_with_assignment
 
-use crate::sharded::ShardStats;
+use crate::activity::{ShardCycleSummary, ShardCycleView, ShardObserver};
 use cama_core::graph::connected_components;
 use cama_core::Nfa;
 
-/// A per-state activity histogram distilled from [`ShardStats`], plus
-/// the greedy packer that turns it into a shard assignment.
+/// A per-state activity histogram, plus the greedy packer that turns it
+/// into a shard assignment.
 ///
-/// See the [module docs](self) for the full profile → re-shard loop.
+/// As a [`ShardObserver`] it adds one to a state's count for every
+/// cycle the state is active, by global state id; DFA-stepped shards
+/// report their active sets through the same view, so hybrid and
+/// pure-NFA plans of one automaton record the same heat. See the
+/// [module docs](self) for the full profile → re-shard loop.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ShardingProfile {
     /// Activation counts indexed by global state id.
@@ -63,10 +68,11 @@ pub struct ShardingProfile {
 }
 
 impl ShardingProfile {
-    /// Builds a profile from a profiling session's counters.
-    pub fn from_stats(stats: &ShardStats) -> ShardingProfile {
+    /// An empty profile over `num_states` global states, ready to
+    /// observe a profiling run.
+    pub fn new(num_states: usize) -> ShardingProfile {
         ShardingProfile {
-            state_activity: stats.state_active.clone(),
+            state_activity: vec![0; num_states],
         }
     }
 
@@ -214,6 +220,16 @@ impl ShardingProfile {
     }
 }
 
+impl ShardObserver for ShardingProfile {
+    fn on_shard_cycle(&mut self, view: &ShardCycleView<'_>) {
+        for local in view.active.iter() {
+            self.state_activity[view.global_states[local] as usize] += 1;
+        }
+    }
+
+    fn on_cycle_end(&mut self, _summary: &ShardCycleSummary) {}
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -240,13 +256,13 @@ mod tests {
 
         // Static, size-balanced baseline.
         let baseline = ShardedAutomaton::compile(&nfa, num_shards);
+        let mut profile = ShardingProfile::new(nfa.len());
         let mut session = ShardedSession::new(&baseline);
-        session.feed(&input);
+        session.feed_sharded_with(&input, &mut profile);
         let expected = session.finish();
         let baseline_words = session.stats().words_visited;
 
         // Re-shard from the measured profile.
-        let profile = ShardingProfile::from_stats(session.stats());
         let assignment = profile.assignment(&nfa, num_shards);
         let plan = ShardedAutomaton::compile_with_assignment(&nfa, &assignment);
         let mut tuned = ShardedSession::new(&plan);
@@ -289,15 +305,14 @@ mod tests {
     }
 
     #[test]
-    fn stats_record_per_state_activity() {
+    fn observer_records_per_state_activity() {
         let nfa = regex::compile("ab").unwrap();
         let plan = ShardedAutomaton::compile(&nfa, 1);
+        let mut profile = ShardingProfile::new(nfa.len());
         let mut session = ShardedSession::new(&plan);
-        session.feed(b"abab");
+        session.feed_sharded_with(b"abab", &mut profile);
         session.finish();
-        let stats = session.stats();
-        assert_eq!(stats.state_active.len(), nfa.len());
         // 'a' fires twice, 'b' completes twice.
-        assert!(stats.state_active.iter().all(|&c| c == 2), "{stats:?}");
+        assert_eq!(profile.state_activity(), &[2, 2]);
     }
 }

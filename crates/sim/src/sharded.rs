@@ -9,7 +9,10 @@
 //! software form of that decomposition:
 //!
 //! * **per-shard enable vectors** — each shard keeps its own
-//!   dynamic/next/active bit sets over its local state space;
+//!   dynamic/next/active bit sets over its local state space, stepped
+//!   by the same phase kernels as the flat engine
+//!   ([`engine`](crate::engine)), with reports carrying the shard's
+//!   global ids;
 //! * **idle-shard skipping** — a shard with nothing enabled (empty
 //!   dynamic vector, no start state matching this symbol, no
 //!   start-of-data state on cycle 0) is skipped without touching a
@@ -48,7 +51,7 @@ use crate::activity::{
     CycleView, DfaShardCycleView, NullObserver, Observer, ShardCycleSummary, ShardCycleView,
     ShardObserver,
 };
-use crate::engine::{popcount_dirty, sparse_clear};
+use crate::engine::{pair_report, sparse_clear, CycleOut, Lane};
 use crate::result::{Report, RunResult};
 use crate::session::{AutomataEngine, FlowSession, Session, SuspendedFlow};
 use cama_core::bitset::BitSet;
@@ -56,23 +59,14 @@ use cama_core::compiled::{
     CompiledAutomaton, CompiledDfa, CompiledEncodedAutomaton, CompiledEncodedStridedAutomaton,
     CompiledStridedAutomaton, ExecutionPlan, PlanBase, Shard, ShardedAutomaton, StridedPlan,
 };
-use cama_core::stride::ReportPhase;
 use cama_core::{Nfa, SteId};
 
-/// One shard's mutable half of a stream: local enable/active vectors
-/// plus their one-bit-per-word summaries (kept in lockstep so clears
-/// and scans only touch dirty words).
+/// One shard's mutable half of a stream: the engine's [`Lane`] over the
+/// shard's local state space (reached through `Deref`), plus the
+/// hybrid fast path's DFA stepping state.
 #[derive(Clone, Debug)]
 struct ShardLane {
-    dynamic: BitSet,
-    next: BitSet,
-    active: BitSet,
-    dynamic_any: Vec<u64>,
-    next_any: Vec<u64>,
-    active_any: Vec<u64>,
-    /// Popcount of `dynamic`, maintained at the cycle-end advance so
-    /// per-cycle accounting never re-counts the vector.
-    num_dynamic: usize,
+    lane: Lane,
     /// The shard ships a [`CompiledDfa`] and this session's stepping
     /// mode (byte plan, chain 1) can use it. Fixed at construction.
     dfa_capable: bool,
@@ -86,15 +80,8 @@ struct ShardLane {
 
 impl ShardLane {
     fn new(len: usize, dfa_capable: bool) -> ShardLane {
-        let summary_words = len.div_ceil(64).div_ceil(64);
         ShardLane {
-            dynamic: BitSet::new(len),
-            next: BitSet::new(len),
-            active: BitSet::new(len),
-            dynamic_any: vec![0; summary_words],
-            next_any: vec![0; summary_words],
-            active_any: vec![0; summary_words],
-            num_dynamic: 0,
+            lane: Lane::new(len),
             dfa_capable,
             is_dfa: dfa_capable,
             dfa_state: 0,
@@ -102,54 +89,24 @@ impl ShardLane {
     }
 
     fn reset(&mut self) {
-        self.dynamic.clear();
-        self.next.clear();
-        self.active.clear();
-        self.dynamic_any.iter_mut().for_each(|w| *w = 0);
-        self.next_any.iter_mut().for_each(|w| *w = 0);
-        self.active_any.iter_mut().for_each(|w| *w = 0);
-        self.num_dynamic = 0;
+        self.lane.reset();
         self.is_dfa = self.dfa_capable;
         self.dfa_state = 0;
     }
+}
 
-    fn dynamic_is_empty(&self) -> bool {
-        self.dynamic_any.iter().all(|&w| w == 0)
+impl std::ops::Deref for ShardLane {
+    type Target = Lane;
+
+    fn deref(&self) -> &Lane {
+        &self.lane
     }
 }
 
-/// Sets a staged activation in a lane's next vector (with its word
-/// summary) — the single write the cross-shard exchange performs per
-/// activation.
-#[inline]
-fn apply_activation(lane: &mut ShardLane, local: usize) {
-    lane.next.as_words_mut()[local / 64] |= 1u64 << (local % 64);
-    lane.next_any[local / 4096] |= 1u64 << ((local / 64) % 64);
-}
-
-/// Advances one lane at cycle end: next becomes dynamic; the old
-/// dynamic storage is sparse-cleared and becomes next cycle's scratch.
-#[inline]
-fn advance_lane(lane: &mut ShardLane) {
-    std::mem::swap(&mut lane.dynamic, &mut lane.next);
-    std::mem::swap(&mut lane.dynamic_any, &mut lane.next_any);
-    sparse_clear(lane.next.as_words_mut(), &mut lane.next_any);
-    lane.num_dynamic = popcount_dirty(lane.dynamic.as_words(), &lane.dynamic_any);
-}
-
-/// The sinks one shard-cycle writes outside its own lane: staged
-/// reports, staged cross-shard activations (packed
-/// `shard << 32 | local`), and the per-state activity histogram.
-struct StepSinks<'a> {
-    staged_reports: &'a mut Vec<Report>,
-    exchange: &'a mut Vec<u64>,
-    state_active: &'a mut [u64],
-}
-
-/// What one shard-cycle contributed to the cycle's totals.
-struct StepOut {
-    num_active: usize,
-    reports: usize,
+impl std::ops::DerefMut for ShardLane {
+    fn deref_mut(&mut self) -> &mut Lane {
+        &mut self.lane
+    }
 }
 
 /// The byte-plan idle probe: `true` when the shard can be skipped this
@@ -201,154 +158,32 @@ fn pair_shard_idle<P: StridedPlan>(
     lane.dynamic_is_empty() && !starts_matter && !sod_matters
 }
 
-/// One visited shard-cycle of the byte kernel: build the active vector
-/// from its enable sources (phase 1), then one pass over the active
-/// words — popcounts, reports with global ids, local successor
-/// expansion, and staging of cross-shard activations (phase 2).
-fn step_shard_byte<P: ExecutionPlan>(
-    shard: &Shard<P>,
-    lane: &mut ShardLane,
-    symbol: u8,
-    inject_starts: bool,
-    first_cycle: bool,
-    cycle: usize,
-    sinks: StepSinks<'_>,
-) -> StepOut {
-    let splan = shard.plan();
-    let match_words = splan.match_vector(symbol).words();
-    let match_any = splan.match_any(symbol);
-    let sod_words = splan.start_of_data_mask().as_words();
-    let sod_any = splan.start_of_data_any();
-    let report_words = splan.report_mask().as_words();
-    let globals = shard.global_states();
-    let mut num_active = 0usize;
-
-    // Sparse-clear the previous cycle's active words.
-    sparse_clear(lane.active.as_words_mut(), &mut lane.active_any);
-    let active_words = lane.active.as_words_mut();
-
-    // Phase 1: build the active vector from its enable sources,
-    // visiting only words their summaries mark.
-    if inject_starts {
-        let start_words = splan.start_match(symbol).words();
-        for (j, &any) in splan.start_match_any(symbol).iter().enumerate() {
-            let mut dirty = any;
-            while dirty != 0 {
-                let w = j * 64 + dirty.trailing_zeros() as usize;
-                dirty &= dirty - 1;
-                active_words[w] |= start_words[w];
-                lane.active_any[j] |= 1u64 << (w % 64);
-            }
-        }
-    }
-    let dynamic_words = lane.dynamic.as_words();
-    for (j, &dynamic_any) in lane.dynamic_any.iter().enumerate() {
-        let mut dirty = match_any[j] & dynamic_any;
-        while dirty != 0 {
-            let w = j * 64 + dirty.trailing_zeros() as usize;
-            dirty &= dirty - 1;
-            let active = match_words[w] & dynamic_words[w];
-            if active != 0 {
-                active_words[w] |= active;
-                lane.active_any[j] |= 1u64 << (w % 64);
-            }
-        }
-    }
-    if first_cycle {
-        for (j, &any) in sod_any.iter().enumerate() {
-            let mut dirty = match_any[j] & any;
-            while dirty != 0 {
-                let w = j * 64 + dirty.trailing_zeros() as usize;
-                dirty &= dirty - 1;
-                let active = match_words[w] & sod_words[w];
-                if active != 0 {
-                    active_words[w] |= active;
-                    lane.active_any[j] |= 1u64 << (w % 64);
-                }
-            }
-        }
-    }
-
-    // Phase 2: one pass over the active words — popcounts, reports
-    // (emitted with global ids), local successor expansion, and
-    // staging of cross-shard activations.
-    let next_words = lane.next.as_words_mut();
-    let mut shard_reports = 0usize;
-    for (j, &active_any) in lane.active_any.iter().enumerate() {
-        let mut dirty = active_any;
-        while dirty != 0 {
-            let w = j * 64 + dirty.trailing_zeros() as usize;
-            dirty &= dirty - 1;
-            let active = active_words[w];
-            num_active += active.count_ones() as usize;
-
-            let mut reporting = active & report_words[w];
-            while reporting != 0 {
-                let local = w * 64 + reporting.trailing_zeros() as usize;
-                sinks.staged_reports.push(Report {
-                    ste: SteId(globals[local]),
-                    code: splan.report_code_unchecked(local),
-                    offset: cycle,
-                });
-                shard_reports += 1;
-                reporting &= reporting - 1;
-            }
-
-            let mut remaining = active;
-            while remaining != 0 {
-                let local = w * 64 + remaining.trailing_zeros() as usize;
-                sinks.state_active[globals[local] as usize] += 1;
-                for &succ in splan.successors(local) {
-                    let succ = succ as usize;
-                    next_words[succ / 64] |= 1u64 << (succ % 64);
-                    lane.next_any[succ / 4096] |= 1u64 << ((succ / 64) % 64);
-                }
-                for t in shard.cross_successors(local) {
-                    sinks
-                        .exchange
-                        .push(u64::from(t.shard) << 32 | u64::from(t.local));
-                }
-                remaining &= remaining - 1;
-            }
-        }
-    }
-    StepOut {
-        num_active,
-        reports: shard_reports,
-    }
-}
-
 /// One visited shard-cycle of the hybrid DFA fast path: the whole
 /// active-set computation collapses into a single dense-table lookup —
 /// `first[row]` on cycle 0 (start-of-data folded in), `next[state,
-/// row]` afterwards — followed by O(|active| + |next|) precomputed
-/// writes.
+/// row]` afterwards — followed by O(words) precomputed writes.
 ///
 /// The kernel *writes through* to the lane's active/next bit sets
 /// (members and dynamics of the landed DFA state), so everything
 /// downstream — idle probes, suspend/resume, `is_idle`, observers, the
-/// cycle-end advance — sees exactly the state the NFA kernel would
+/// cycle-end advance — sees exactly the state the NFA kernels would
 /// have produced and needs no DFA awareness. Reports use the same
 /// staging path (sorted by (offset, global state) at cycle end), so
-/// output is bit-identical to [`step_shard_byte`] by construction.
+/// output is bit-identical to NFA stepping by construction.
 ///
 /// DFAs are only attached to zero-cross-edge component shards and only
 /// stepped when `chain == 1` (starts inject every cycle — the
 /// `all_input` fold baked into the transition table assumes it), which
-/// the dispatch in [`ShardedSession::step`] guarantees.
-#[allow(clippy::too_many_arguments)]
+/// `ShardLane::dfa_capable` guarantees.
 fn step_shard_dfa<P: ExecutionPlan>(
     shard: &Shard<P>,
     dfa: &CompiledDfa,
     lane: &mut ShardLane,
     symbol: u8,
-    inject_starts: bool,
     first_cycle: bool,
     cycle: usize,
-    sinks: StepSinks<'_>,
-) -> StepOut {
-    debug_assert!(inject_starts, "DFA stepping requires chain == 1");
-    let _ = inject_starts;
+    staged_reports: &mut Vec<Report>,
+) -> CycleOut {
     let row = shard.plan().row_of_symbol(symbol);
     // A suspended-at-cycle-0 flow has no dynamic state, so on the first
     // cycle the lane is necessarily in the empty state and the
@@ -364,8 +199,8 @@ fn step_shard_dfa<P: ExecutionPlan>(
 
     // Word-level write-through: OR the state's precomputed active and
     // next-enable bitmaps into the lane — O(words) per cycle even for
-    // dense active sets, where the member-at-a-time loop the bitmaps
-    // replace was O(states).
+    // dense active sets.
+    let lane = &mut lane.lane;
     sparse_clear(lane.active.as_words_mut(), &mut lane.active_any);
     let (bits, any) = dfa.active_words(state);
     let active_words = lane.active.as_words_mut();
@@ -376,17 +211,9 @@ fn step_shard_dfa<P: ExecutionPlan>(
         lane.active_any[j] |= word;
     }
 
-    // Per-state activity heat stays exact (the profile and the energy
-    // model read it) — the member list is the one remaining
-    // O(active-set) walk.
-    let members = dfa.members(state);
-    for &local in members {
-        sinks.state_active[globals[local as usize] as usize] += 1;
-    }
-
     let (report_locals, report_codes) = dfa.reports(state);
     for (&local, &code) in report_locals.iter().zip(report_codes) {
-        sinks.staged_reports.push(Report {
+        staged_reports.push(Report {
             ste: SteId(globals[local as usize]),
             code,
             offset: cycle,
@@ -402,141 +229,9 @@ fn step_shard_dfa<P: ExecutionPlan>(
         lane.next_any[j] |= word;
     }
 
-    StepOut {
-        num_active: members.len(),
+    CycleOut {
+        num_active: dfa.members(state).len(),
         reports: report_locals.len(),
-    }
-}
-
-/// One visited shard-cycle of the paired kernel: the strided
-/// counterpart of [`step_shard_byte`]. Within the shard,
-/// `active = first[a] & second[b] & enabled` per dirty 64-state word
-/// (both halves' summaries fused into the visit filter); reports map
-/// through each state's [`ReportPhase`], and `limit` suppresses
-/// pad-byte reports exactly like the flat strided session.
-#[allow(clippy::too_many_arguments)]
-fn step_shard_pair<P: StridedPlan>(
-    shard: &Shard<P>,
-    lane: &mut ShardLane,
-    a: u8,
-    b: u8,
-    limit: usize,
-    first_cycle: bool,
-    cycle: usize,
-    sinks: StepSinks<'_>,
-) -> StepOut {
-    let splan = shard.plan();
-    let first_words = splan.first_vector(a).words();
-    let first_any = splan.first_any(a);
-    let second_words = splan.second_vector(b).words();
-    let second_any = splan.second_any(b);
-    let sod_words = splan.start_of_data_mask().as_words();
-    let sod_any = splan.start_of_data_any();
-    let report_words = splan.report_mask().as_words();
-    let globals = shard.global_states();
-    let mut num_active = 0usize;
-
-    // Sparse-clear the previous cycle's active words.
-    sparse_clear(lane.active.as_words_mut(), &mut lane.active_any);
-    let active_words = lane.active.as_words_mut();
-
-    // Phase 1: build the active vector from its enable sources,
-    // visiting only words both halves and a source mark.
-    let start_words = splan.first_start_match(a).words();
-    for (j, &any) in splan.first_start_match_any(a).iter().enumerate() {
-        let mut dirty = any & second_any[j];
-        while dirty != 0 {
-            let w = j * 64 + dirty.trailing_zeros() as usize;
-            dirty &= dirty - 1;
-            let active = start_words[w] & second_words[w];
-            if active != 0 {
-                active_words[w] |= active;
-                lane.active_any[j] |= 1u64 << (w % 64);
-            }
-        }
-    }
-    let dynamic_words = lane.dynamic.as_words();
-    for (j, &dynamic_any) in lane.dynamic_any.iter().enumerate() {
-        let mut dirty = first_any[j] & second_any[j] & dynamic_any;
-        while dirty != 0 {
-            let w = j * 64 + dirty.trailing_zeros() as usize;
-            dirty &= dirty - 1;
-            let active = first_words[w] & second_words[w] & dynamic_words[w];
-            if active != 0 {
-                active_words[w] |= active;
-                lane.active_any[j] |= 1u64 << (w % 64);
-            }
-        }
-    }
-    if first_cycle {
-        for (j, &any) in sod_any.iter().enumerate() {
-            let mut dirty = first_any[j] & second_any[j] & any;
-            while dirty != 0 {
-                let w = j * 64 + dirty.trailing_zeros() as usize;
-                dirty &= dirty - 1;
-                let active = first_words[w] & second_words[w] & sod_words[w];
-                if active != 0 {
-                    active_words[w] |= active;
-                    lane.active_any[j] |= 1u64 << (w % 64);
-                }
-            }
-        }
-    }
-
-    // Phase 2: one pass over the active words — popcounts,
-    // phase-mapped reports (with global ids), local successor
-    // expansion, and staging of cross-shard activations.
-    let next_words = lane.next.as_words_mut();
-    let mut shard_reports = 0usize;
-    for (j, &active_any) in lane.active_any.iter().enumerate() {
-        let mut dirty = active_any;
-        while dirty != 0 {
-            let w = j * 64 + dirty.trailing_zeros() as usize;
-            dirty &= dirty - 1;
-            let active = active_words[w];
-            num_active += active.count_ones() as usize;
-
-            let mut reporting = active & report_words[w];
-            while reporting != 0 {
-                let local = w * 64 + reporting.trailing_zeros() as usize;
-                let (code, phase) = splan.report_pair_unchecked(local);
-                let offset = match phase {
-                    ReportPhase::First => cycle * 2,
-                    ReportPhase::Second => cycle * 2 + 1,
-                };
-                // Suppress reports landing on the pad byte.
-                if offset < limit {
-                    sinks.staged_reports.push(Report {
-                        ste: SteId(globals[local]),
-                        code,
-                        offset,
-                    });
-                    shard_reports += 1;
-                }
-                reporting &= reporting - 1;
-            }
-
-            let mut remaining = active;
-            while remaining != 0 {
-                let local = w * 64 + remaining.trailing_zeros() as usize;
-                sinks.state_active[globals[local] as usize] += 1;
-                for &succ in splan.successors(local) {
-                    let succ = succ as usize;
-                    next_words[succ / 64] |= 1u64 << (succ % 64);
-                    lane.next_any[succ / 4096] |= 1u64 << ((succ / 64) % 64);
-                }
-                for t in shard.cross_successors(local) {
-                    sinks
-                        .exchange
-                        .push(u64::from(t.shard) << 32 | u64::from(t.local));
-                }
-                remaining &= remaining - 1;
-            }
-        }
-    }
-    StepOut {
-        num_active,
-        reports: shard_reports,
     }
 }
 
@@ -558,18 +253,12 @@ pub struct ShardStats {
     /// Activations carried across shards (simulated global-switch
     /// traffic).
     pub cross_activations: u64,
-    /// Per-state activation counts, indexed by *global* state id —
-    /// the activity histogram [`ShardingProfile`] is built from.
-    ///
-    /// [`ShardingProfile`]: crate::ShardingProfile
-    pub state_active: Vec<u64>,
 }
 
 impl ShardStats {
-    fn new(num_shards: usize, num_states: usize) -> ShardStats {
+    fn new(num_shards: usize) -> ShardStats {
         ShardStats {
             shard_cycles: vec![0; num_shards],
-            state_active: vec![0; num_states],
             ..ShardStats::default()
         }
     }
@@ -581,20 +270,16 @@ impl ShardStats {
 
     /// Accumulates another session's counters into this one. Every
     /// field is a sum, so merging per-thread stats in any order is
-    /// lossless — work-stealing and multi-session rollups produce
-    /// exactly the counters one sequential session would have. Shorter per-shard/per-state vectors are extended
-    /// (merging into a `ShardStats::default()` accumulator works).
+    /// lossless: work-stealing and multi-session rollups produce
+    /// exactly the counters one sequential session would have.
+    ///
+    /// A shorter per-shard vector is extended, so merging into a
+    /// `ShardStats::default()` accumulator works.
     pub fn merge(&mut self, other: &ShardStats) {
         if self.shard_cycles.len() < other.shard_cycles.len() {
             self.shard_cycles.resize(other.shard_cycles.len(), 0);
         }
         for (mine, theirs) in self.shard_cycles.iter_mut().zip(&other.shard_cycles) {
-            *mine += theirs;
-        }
-        if self.state_active.len() < other.state_active.len() {
-            self.state_active.resize(other.state_active.len(), 0);
-        }
-        for (mine, theirs) in self.state_active.iter_mut().zip(&other.state_active) {
             *mine += theirs;
         }
         self.skipped_shard_cycles += other.skipped_shard_cycles;
@@ -687,7 +372,7 @@ impl<'p, P: PlanBase> ShardedSession<'p, P> {
             carry: None,
             result: RunResult::default(),
             fed: 0,
-            stats: ShardStats::new(plan.num_shards(), plan.len()),
+            stats: ShardStats::new(plan.num_shards()),
             flat_scratch: None,
         }
     }
@@ -717,59 +402,111 @@ impl<'p, P: PlanBase> ShardedSession<'p, P> {
 
     /// Takes the counters, resetting them to zero.
     pub fn take_stats(&mut self) -> ShardStats {
-        std::mem::replace(
-            &mut self.stats,
-            ShardStats::new(self.plan.num_shards(), self.plan.len()),
-        )
+        std::mem::replace(&mut self.stats, ShardStats::new(self.plan.num_shards()))
     }
 
-    /// The once-per-cycle epilogue shared by the byte and pair kernels:
-    /// the cross-shard exchange, the lane advance, the per-cycle report
-    /// commit (in ascending (offset, state) order, matching the flat
-    /// engines' within-cycle order), and the cycle accounting.
-    #[allow(clippy::too_many_arguments)]
-    fn end_cycle(
+    /// Executes one cycle over every shard: the flavour's kernels on
+    /// each visited shard, then the cross-shard exchange, the lane
+    /// advance, the per-cycle report commit (in ascending (offset,
+    /// state) order, matching the flat engines' within-cycle order),
+    /// and the cycle accounting. `idle` is the flavour's skip probe and
+    /// `kernels` steps one visited shard, staging its reports and
+    /// cross-shard activations.
+    fn step_shards(
         &mut self,
         symbol: u8,
-        num_active: usize,
-        num_dynamic: usize,
-        cycle_reports: usize,
-        visited: usize,
-        skipped: usize,
         observer: &mut impl ShardObserver,
+        idle: impl Fn(&Shard<P>, &ShardLane) -> bool,
+        kernels: impl Fn(&Shard<P>, &mut ShardLane, &mut Vec<Report>, &mut Vec<u64>) -> CycleOut,
     ) {
+        let mut num_active = 0usize;
+        let mut num_dynamic = 0usize;
+        let mut cycle_reports = 0usize;
+        let mut visited = 0usize;
+        let mut skipped = 0usize;
+
+        let ShardedSession {
+            plan,
+            skip_idle,
+            lanes,
+            exchange,
+            staged_reports,
+            cycle,
+            stats,
+            ..
+        } = self;
+
+        for (si, (shard, lane)) in plan.shards().iter().zip(lanes.iter_mut()).enumerate() {
+            // Skipped shards hold no dynamically enabled state, so the
+            // cached per-lane counts sum to the flat engine's total.
+            num_dynamic += lane.num_dynamic;
+            if shard.is_empty() || (*skip_idle && idle(shard, lane)) {
+                skipped += 1;
+                stats.skipped_shard_cycles += 1;
+                continue;
+            }
+            visited += 1;
+            stats.shard_cycles[si] += 1;
+            // A DFA-stepped shard searches one transition-table row
+            // instead of sweeping its state words — the modeling choice
+            // behind the hybrid visited-words win.
+            stats.words_visited += if lane.is_dfa {
+                1
+            } else {
+                shard.plan().len().div_ceil(64) as u64
+            };
+
+            let out = kernels(shard, lane, staged_reports, exchange);
+            num_active += out.num_active;
+            cycle_reports += out.reports;
+
+            let shard_view = ShardCycleView {
+                cycle: *cycle,
+                symbol,
+                shard: si,
+                global_states: shard.global_states(),
+                dynamic_enabled: &lane.dynamic,
+                active: &lane.active,
+                reports: out.reports,
+            };
+            match shard.dfa().filter(|_| lane.is_dfa) {
+                Some(dfa) => observer.on_dfa_shard_cycle(&DfaShardCycleView {
+                    shard_view,
+                    dfa_state: lane.dfa_state,
+                    dfa_states: dfa.num_states(),
+                    alphabet: dfa.alphabet(),
+                }),
+                None => observer.on_shard_cycle(&shard_view),
+            }
+        }
+
         // The once-per-cycle cross-shard exchange: apply staged
         // activations to the target shards' next vectors.
-        self.stats.cross_activations += self.exchange.len() as u64;
-        for &packed in &self.exchange {
-            let lane = &mut self.lanes[(packed >> 32) as usize];
-            apply_activation(lane, (packed & u64::from(u32::MAX)) as usize);
+        stats.cross_activations += exchange.len() as u64;
+        for &packed in exchange.iter() {
+            lanes[(packed >> 32) as usize].insert_next((packed & u64::from(u32::MAX)) as usize);
         }
-        self.exchange.clear();
-
-        // Advance every lane: next becomes dynamic; the old dynamic
-        // storage is sparse-cleared and becomes next cycle's scratch.
-        for lane in self.lanes.iter_mut() {
-            advance_lane(lane);
+        exchange.clear();
+        for lane in lanes.iter_mut() {
+            lane.advance();
         }
 
         // Emit this cycle's reports in ascending (offset, global state)
         // order — for byte plans all of a cycle's offsets are equal, so
         // this is exactly the flat engine's within-cycle state order.
-        self.staged_reports
-            .sort_unstable_by_key(|r| (r.offset, r.ste));
-        self.result.reports.append(&mut self.staged_reports);
+        staged_reports.sort_unstable_by_key(|r| (r.offset, r.ste));
+        self.result.reports.append(staged_reports);
         self.result
             .activity
             .record(num_active, num_dynamic, cycle_reports);
         observer.on_cycle_end(&ShardCycleSummary {
-            cycle: self.cycle,
+            cycle: *cycle,
             symbol,
             shards_visited: visited,
             shards_skipped: skipped,
             reports: cycle_reports,
         });
-        self.cycle += 1;
+        *cycle += 1;
     }
 }
 
@@ -798,189 +535,57 @@ impl<'p, P: ShardedExecution> ShardedSession<'p, P> {
 }
 
 impl<'p, P: ExecutionPlan> ShardedSession<'p, P> {
-    /// Executes one cycle: per-shard match/transition over the visited
-    /// shards, then the cross-shard exchange, then the global advance.
+    /// Executes one byte cycle: DFA-capable lanes take the table
+    /// lookup, every other visited shard the shared byte kernels.
     fn step(&mut self, symbol: u8, inject_starts: bool, observer: &mut impl ShardObserver) {
-        let first_cycle = self.cycle == 0;
-        let mut num_active = 0usize;
-        let mut num_dynamic = 0usize;
-        let mut cycle_reports = 0usize;
-        let mut visited = 0usize;
-        let mut skipped = 0usize;
-
-        let ShardedSession {
-            plan,
-            skip_idle,
-            lanes,
-            exchange,
-            staged_reports,
-            cycle,
-            stats,
-            ..
-        } = self;
-
-        for (si, (shard, lane)) in plan.shards().iter().zip(lanes.iter_mut()).enumerate() {
-            // Skipped shards hold no dynamically enabled state, so the
-            // cached per-lane counts sum to the flat engine's total.
-            num_dynamic += lane.num_dynamic;
-            if shard.is_empty()
-                || (*skip_idle && byte_shard_idle(shard, lane, symbol, inject_starts, first_cycle))
-            {
-                skipped += 1;
-                stats.skipped_shard_cycles += 1;
-                continue;
-            }
-            visited += 1;
-            stats.shard_cycles[si] += 1;
-            // A DFA-stepped shard searches one transition-table row
-            // instead of sweeping its state words — the modeling choice
-            // behind the hybrid visited-words win.
-            stats.words_visited += if lane.is_dfa {
-                1
-            } else {
-                shard.plan().len().div_ceil(64) as u64
-            };
-
-            let sinks = StepSinks {
-                staged_reports,
-                exchange,
-                state_active: &mut stats.state_active,
-            };
-            let out = match shard.dfa().filter(|_| lane.is_dfa) {
-                Some(dfa) => step_shard_dfa(
-                    shard,
-                    dfa,
-                    lane,
-                    symbol,
-                    inject_starts,
-                    first_cycle,
-                    *cycle,
-                    sinks,
-                ),
-                None => step_shard_byte(
-                    shard,
-                    lane,
-                    symbol,
-                    inject_starts,
-                    first_cycle,
-                    *cycle,
-                    sinks,
-                ),
-            };
-            num_active += out.num_active;
-            cycle_reports += out.reports;
-
-            let shard_view = ShardCycleView {
-                cycle: *cycle,
-                symbol,
-                shard: si,
-                global_states: shard.global_states(),
-                dynamic_enabled: &lane.dynamic,
-                active: &lane.active,
-                reports: out.reports,
-            };
-            match shard.dfa().filter(|_| lane.is_dfa) {
-                Some(dfa) => observer.on_dfa_shard_cycle(&DfaShardCycleView {
-                    shard_view,
-                    dfa_state: lane.dfa_state,
-                    dfa_states: dfa.num_states(),
-                    alphabet: dfa.alphabet(),
-                }),
-                None => observer.on_shard_cycle(&shard_view),
-            }
-        }
-
-        self.end_cycle(
+        let (cycle, first_cycle) = (self.cycle, self.cycle == 0);
+        self.step_shards(
             symbol,
-            num_active,
-            num_dynamic,
-            cycle_reports,
-            visited,
-            skipped,
             observer,
+            |shard, lane| byte_shard_idle(shard, lane, symbol, inject_starts, first_cycle),
+            |shard, lane, reports, exchange| match shard.dfa().filter(|_| lane.is_dfa) {
+                Some(dfa) => step_shard_dfa(shard, dfa, lane, symbol, first_cycle, cycle, reports),
+                None => {
+                    let splan = shard.plan();
+                    lane.match_byte(splan, symbol, inject_starts, first_cycle);
+                    lane.transition(
+                        splan,
+                        shard,
+                        |local| Some((splan.report_code_unchecked(local), cycle)),
+                        reports,
+                        exchange,
+                    )
+                }
+            },
         );
     }
 }
 
 impl<'p, P: StridedPlan> ShardedSession<'p, P> {
     /// Executes one *pair* cycle: the strided counterpart of
-    /// [`step`](ShardedSession::step). Within a visited shard,
-    /// `active = first[a] & second[b] & enabled` per dirty 64-state
-    /// word (both halves' summaries fused into the visit filter);
-    /// shards with nothing enabled — empty dynamic vector, no
-    /// statically enabled state whose two halves could both match this
-    /// pair, no live start-of-data overlap on cycle 0 — are skipped
-    /// without touching a word. Reports map through each state's
-    /// [`ReportPhase`]; `limit` suppresses pad-byte reports exactly
-    /// like the flat strided session.
+    /// [`step`](ShardedSession::step). Shards with nothing enabled —
+    /// empty dynamic vector, no statically enabled state whose two
+    /// halves could both match this pair, no live start-of-data overlap
+    /// on cycle 0 — are skipped without touching a word; `limit`
+    /// suppresses pad-byte reports exactly like the flat strided
+    /// session.
     fn step_pair(&mut self, a: u8, b: u8, limit: usize, observer: &mut impl ShardObserver) {
-        let first_cycle = self.cycle == 0;
-        let mut num_active = 0usize;
-        let mut num_dynamic = 0usize;
-        let mut cycle_reports = 0usize;
-        let mut visited = 0usize;
-        let mut skipped = 0usize;
-
-        let ShardedSession {
-            plan,
-            skip_idle,
-            lanes,
-            exchange,
-            staged_reports,
-            cycle,
-            stats,
-            ..
-        } = self;
-
-        for (si, (shard, lane)) in plan.shards().iter().zip(lanes.iter_mut()).enumerate() {
-            // Skipped shards hold no dynamically enabled state, so the
-            // cached per-lane counts sum to the flat engine's total.
-            num_dynamic += lane.num_dynamic;
-            if shard.is_empty() || (*skip_idle && pair_shard_idle(shard, lane, a, b, first_cycle)) {
-                skipped += 1;
-                stats.skipped_shard_cycles += 1;
-                continue;
-            }
-            visited += 1;
-            stats.shard_cycles[si] += 1;
-            stats.words_visited += shard.plan().len().div_ceil(64) as u64;
-
-            let out = step_shard_pair(
-                shard,
-                lane,
-                a,
-                b,
-                limit,
-                first_cycle,
-                *cycle,
-                StepSinks {
-                    staged_reports,
-                    exchange,
-                    state_active: &mut stats.state_active,
-                },
-            );
-            num_active += out.num_active;
-            cycle_reports += out.reports;
-
-            observer.on_shard_cycle(&ShardCycleView {
-                cycle: *cycle,
-                symbol: a,
-                shard: si,
-                global_states: shard.global_states(),
-                dynamic_enabled: &lane.dynamic,
-                active: &lane.active,
-                reports: out.reports,
-            });
-        }
-
-        self.end_cycle(
+        let (cycle, first_cycle) = (self.cycle, self.cycle == 0);
+        self.step_shards(
             a,
-            num_active,
-            num_dynamic,
-            cycle_reports,
-            visited,
-            skipped,
             observer,
+            |shard, lane| pair_shard_idle(shard, lane, a, b, first_cycle),
+            |shard, lane, reports, exchange| {
+                let splan = shard.plan();
+                lane.match_pair(splan, a, b, first_cycle);
+                lane.transition(
+                    splan,
+                    shard,
+                    |local| pair_report(splan, local, cycle, limit),
+                    reports,
+                    exchange,
+                )
+            },
         );
     }
 }
@@ -1247,14 +852,10 @@ impl<P: ShardedExecution> FlowSession for ShardedSession<'_, P> {
         self.result = flow.result;
         for &global in &flow.dynamic {
             let (shard, local) = self.plan.placement_of(global as usize);
-            let lane = &mut self.lanes[shard as usize];
-            let local = local as usize;
-            lane.dynamic.insert(local);
-            lane.dynamic_any[local / 4096] |= 1u64 << ((local / 64) % 64);
+            self.lanes[shard as usize].insert_dynamic(local as usize);
         }
         let mut locals = Vec::new();
         for (si, (shard, lane)) in self.plan.shards().iter().zip(&mut self.lanes).enumerate() {
-            lane.num_dynamic = popcount_dirty(lane.dynamic.as_words(), &lane.dynamic_any);
             if !lane.dfa_capable {
                 continue;
             }
@@ -1292,7 +893,7 @@ impl<P: ShardedExecution> FlowSession for ShardedSession<'_, P> {
     }
 
     fn is_idle(&self) -> bool {
-        self.carry.is_none() && self.lanes.iter().all(ShardLane::dynamic_is_empty)
+        self.carry.is_none() && self.lanes.iter().all(|lane| lane.dynamic_is_empty())
     }
 
     fn for_each_active_shard(&self, mut f: impl FnMut(usize)) {
@@ -1499,21 +1100,18 @@ mod tests {
 
     #[test]
     fn shard_stats_merge_sums_every_field() {
-        let mut a = ShardStats::new(2, 3);
+        let mut a = ShardStats::new(2);
         a.shard_cycles = vec![1, 2];
-        a.state_active = vec![10, 0, 3];
         a.skipped_shard_cycles = 4;
         a.words_visited = 7;
         a.cross_activations = 5;
-        let mut b = ShardStats::new(2, 3);
+        let mut b = ShardStats::new(2);
         b.shard_cycles = vec![100, 200];
-        b.state_active = vec![1, 2, 3];
         b.skipped_shard_cycles = 40;
         b.words_visited = 70;
         b.cross_activations = 50;
         a.merge(&b);
         assert_eq!(a.shard_cycles, vec![101, 202]);
-        assert_eq!(a.state_active, vec![11, 2, 6]);
         assert_eq!(a.skipped_shard_cycles, 44);
         assert_eq!(a.words_visited, 77);
         assert_eq!(a.cross_activations, 55);
@@ -1523,15 +1121,12 @@ mod tests {
 
     #[test]
     fn shard_stats_merge_grows_to_the_wider_operand() {
-        let mut narrow = ShardStats::new(1, 1);
+        let mut narrow = ShardStats::new(1);
         narrow.shard_cycles = vec![5];
-        narrow.state_active = vec![9];
-        let mut wide = ShardStats::new(3, 2);
+        let mut wide = ShardStats::new(3);
         wide.shard_cycles = vec![1, 2, 3];
-        wide.state_active = vec![4, 5];
         narrow.merge(&wide);
         assert_eq!(narrow.shard_cycles, vec![6, 2, 3]);
-        assert_eq!(narrow.state_active, vec![13, 5]);
     }
 
     #[test]
@@ -1559,11 +1154,7 @@ mod tests {
         double.finish();
         let expect = double.take_stats();
 
-        assert_eq!(both.shard_cycles, expect.shard_cycles);
-        assert_eq!(both.state_active, expect.state_active);
-        assert_eq!(both.skipped_shard_cycles, expect.skipped_shard_cycles);
-        assert_eq!(both.words_visited, expect.words_visited);
-        assert_eq!(both.cross_activations, expect.cross_activations);
+        assert_eq!(both, expect);
     }
 
     #[test]

@@ -48,11 +48,12 @@
 //! ```
 
 use crate::activity::{NullObserver, Observer};
-use crate::engine::CycleState;
+use crate::engine::{pair_report, Identity, Lane};
 use crate::result::RunResult;
 use crate::session::{AutomataEngine, FlowSession, Session, SuspendedFlow};
 use cama_core::bitset::BitSet;
 use cama_core::compiled::{CompiledEncodedStridedAutomaton, CompiledStridedAutomaton, StridedPlan};
+use cama_core::kernel;
 use cama_core::stride::StridedNfa;
 use cama_encoding::StridedEncoding;
 
@@ -88,7 +89,8 @@ use cama_encoding::StridedEncoding;
 #[derive(Clone, Debug)]
 pub struct StridedSession<'p, P: StridedPlan = CompiledStridedAutomaton> {
     plan: &'p P,
-    state: CycleState,
+    lane: Lane,
+    cycle: usize,
     /// First byte of a pair whose second byte has not arrived yet.
     carry: Option<u8>,
     fed: usize,
@@ -115,7 +117,8 @@ impl<'p, P: StridedPlan> StridedSession<'p, P> {
     pub fn new(plan: &'p P) -> Self {
         StridedSession {
             plan,
-            state: CycleState::new(plan.len()),
+            lane: Lane::new(plan.len()),
+            cycle: 0,
             carry: None,
             fed: 0,
             selective: true,
@@ -151,20 +154,56 @@ impl<'p, P: StridedPlan> StridedSession<'p, P> {
     /// limit — every mid-stream pair's offsets are below the bytes
     /// already fed).
     fn step(&mut self, a: u8, b: u8, limit: usize, observer: &mut impl Observer) {
-        self.words_visited += if self.selective {
-            self.state
-                .step_pair(self.plan, a, b, limit, &mut self.result, observer)
+        let (plan, cycle) = (self.plan, self.cycle);
+        if self.selective {
+            self.words_visited += self.lane.pair_words_visited(plan, a, b, cycle == 0);
+            self.lane.match_pair(plan, a, b, cycle == 0);
         } else {
-            self.state.step_pair_naive(
-                self.plan,
-                a,
-                b,
-                limit,
-                &mut self.enabled_scratch,
-                &mut self.result,
-                observer,
-            )
+            self.words_visited += self.lane.active.as_words().len() as u64;
+            self.match_pair_naive(a, b);
+        }
+        let out = self.lane.transition(
+            plan,
+            &Identity,
+            |state| pair_report(plan, state, cycle, limit),
+            &mut self.result.reports,
+            &mut Vec::new(),
+        );
+        self.lane
+            .end_flat_cycle(cycle, a, out, &mut self.result, observer);
+        self.cycle += 1;
+    }
+
+    /// The non-selective ("every word precharged") phase 1: one fused
+    /// [`kernel::and2_or2_summarize`] sweep computing `first[a] &
+    /// second[b] & (dynamic | static starts)` over every word — the
+    /// baseline the `strided` bench group compares selective
+    /// visitation against. Results are identical.
+    fn match_pair_naive(&mut self, a: u8, b: u8) {
+        let static_mask: &[u64] = if self.cycle == 0 {
+            self.enabled_scratch.copy_from(self.plan.all_input_mask());
+            self.enabled_scratch
+                .union_with(self.plan.start_of_data_mask());
+            self.enabled_scratch.as_words()
+        } else {
+            self.plan.all_input_mask().as_words()
         };
+        let lane = &mut self.lane;
+        kernel::and2_or2_summarize(
+            self.plan.first_vector(a).words(),
+            self.plan.second_vector(b).words(),
+            lane.dynamic.as_words(),
+            static_mask,
+            lane.active.as_words_mut(),
+            &mut lane.active_any,
+        );
+    }
+
+    fn reset_state(&mut self) {
+        self.lane.reset();
+        self.cycle = 0;
+        self.carry = None;
+        self.fed = 0;
     }
 }
 
@@ -200,9 +239,7 @@ impl<P: StridedPlan> Session for StridedSession<'_, P> {
     }
 
     fn reset(&mut self) {
-        self.state.reset();
-        self.carry = None;
-        self.fed = 0;
+        self.reset_state();
         self.result.reports.clear();
         self.result.activity = Default::default();
     }
@@ -218,30 +255,29 @@ impl<P: StridedPlan> Session for StridedSession<'_, P> {
 
 impl<P: StridedPlan> FlowSession for StridedSession<'_, P> {
     fn suspend(&mut self) -> SuspendedFlow {
-        let mut dynamic = Vec::new();
-        self.state.snapshot_dynamic(&mut dynamic);
         let flow = SuspendedFlow {
-            cycle: self.state.cycle(),
+            cycle: self.cycle,
             fed: self.fed,
-            dynamic,
+            dynamic: self.lane.snapshot(),
             carry: self.carry.take(),
             result: std::mem::take(&mut self.result),
             dfa: Vec::new(),
         };
-        self.state.reset();
-        self.fed = 0;
+        self.reset_state();
         flow
     }
 
     fn resume(&mut self, flow: SuspendedFlow) {
-        self.state.restore(flow.cycle, &flow.dynamic);
+        debug_assert_eq!(self.cycle, 0);
+        self.lane.restore(&flow.dynamic);
+        self.cycle = flow.cycle;
         self.carry = flow.carry;
         self.fed = flow.fed;
         self.result = flow.result;
     }
 
     fn is_idle(&self) -> bool {
-        self.state.dynamic_is_empty() && self.carry.is_none()
+        self.lane.dynamic_is_empty() && self.carry.is_none()
     }
 
     fn for_each_active_shard(&self, mut f: impl FnMut(usize)) {

@@ -29,9 +29,10 @@ use cama::sim::control::{
 };
 use cama::sim::frame::{encode_close, encode_frame};
 use cama::sim::{
-    AutomataEngine, BatchSimulator, ByteSession, EncodedSession, EncodedSimulator,
-    EncodedStridedSimulator, FlowSession, FrameDecoder, InterpSimulator, RunResult, Session,
-    ShardedSimulator, Simulator, StreamId, StreamPlan, StridedSimulator,
+    AutomataEngine, BatchSimulator, ByteSession, CycleView, EncodedSession, EncodedSimulator,
+    EncodedStridedSimulator, FlowSession, FrameDecoder, InterpSimulator, Observer, RunResult,
+    Session, ShardedSession, ShardedSimulator, ShardingProfile, Simulator, StreamId, StreamPlan,
+    StridedSimulator,
 };
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -469,6 +470,13 @@ fn sharded_one_shot_equals_flat() {
         let nfa = random_nfa(&mut rng);
         let input = random_input(&mut rng);
         let flat = Simulator::new(&nfa).run(&input);
+        // Flat and sharded sessions step the same kernels, so the
+        // interpreter is the independent oracle for the loop body.
+        assert_eq!(
+            InterpSimulator::new(&nfa).run(&input),
+            flat,
+            "seed {seed}: interpreter"
+        );
         for shards in shard_counts() {
             let sharded = ShardedSimulator::new(&nfa, shards).run(&input);
             assert_eq!(sharded, flat, "seed {seed}, {shards} shards");
@@ -481,6 +489,72 @@ fn sharded_one_shot_equals_flat() {
         // Idle-shard skipping off: same results, more visited words.
         let mut no_skip = ShardedSimulator::per_component(&nfa).skip_idle(false);
         assert_eq!(no_skip.run(&input), flat, "seed {seed}: skip_idle off");
+    }
+}
+
+/// Profile heat: a [`ShardingProfile`] observing a sharded run counts,
+/// per global state, exactly the cycles the flat engine's
+/// [`CycleView::active`] holds that state — on 2-way, per-component,
+/// random split-component (cross-shard edges) and hybrid-DFA plans. The
+/// hybrid plan's DFA shards write their active sets through, so its
+/// heat equals the pure-NFA plan's.
+#[test]
+fn profile_heat_equals_flat_active_counts() {
+    struct Heat(Vec<u64>);
+    impl Observer for Heat {
+        fn on_cycle(&mut self, view: &CycleView<'_>) {
+            for state in view.active.iter() {
+                self.0[state] += 1;
+            }
+        }
+    }
+    for seed in 0..CASES {
+        let mut rng = StdRng::seed_from_u64(0x4EA7_0000 + seed);
+        let patterns: Vec<String> = (0..rng.random_range(2..6usize))
+            .map(|_| loop {
+                let pattern = random_pattern(&mut rng);
+                if regex::compile(&pattern).is_ok() {
+                    break pattern;
+                }
+            })
+            .collect();
+        let refs: Vec<&str> = patterns.iter().map(String::as_str).collect();
+        let nfa = regex::compile_set(&refs).unwrap();
+        let input = random_input(&mut rng);
+        let mut flat = Heat(vec![0; nfa.len()]);
+        Simulator::new(&nfa).run_with(&input, &mut flat);
+
+        let split: Vec<u32> = (0..nfa.len()).map(|_| rng.random_range(0..2u32)).collect();
+        let mut cache = PlanCache::default();
+        let (pure, _) = compile_ruleset(&nfa, 1, &mut cache);
+        let (hybrid, _) = compile_hybrid_ruleset(&nfa, 1, &mut cache, &DfaPolicy::default());
+        if dfa_enabled() {
+            assert!(hybrid.num_dfa_shards() > 0, "seed {seed}: no DFA shard");
+        }
+        let plans = [
+            ("2-way", ShardedAutomaton::compile(&nfa, 2)),
+            (
+                "per-component",
+                ShardedAutomaton::compile_per_component(&nfa),
+            ),
+            (
+                "split",
+                ShardedAutomaton::compile_with_assignment(&nfa, &split),
+            ),
+            ("pure", pure),
+            ("hybrid", hybrid),
+        ];
+        for (name, plan) in &plans {
+            let mut profile = ShardingProfile::new(nfa.len());
+            let mut session = ShardedSession::new(plan);
+            session.feed_sharded_with(&input, &mut profile);
+            session.finish();
+            assert_eq!(
+                profile.state_activity(),
+                flat.0.as_slice(),
+                "seed {seed}: {name} plan"
+            );
+        }
     }
 }
 
