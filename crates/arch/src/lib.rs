@@ -35,6 +35,8 @@
 //! # Ok::<(), cama_core::Error>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod area;
 pub mod designs;
 pub mod energy;

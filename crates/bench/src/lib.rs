@@ -11,6 +11,8 @@
 //!   uses 10 MB);
 //! * `CAMA_SEED` — input-stream seed (default 1).
 
+#![forbid(unsafe_code)]
+
 use cama_arch::designs::DesignKind;
 use cama_arch::report::{evaluate_with_plan, DesignReport};
 use cama_core::Nfa;

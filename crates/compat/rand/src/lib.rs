@@ -9,6 +9,8 @@
 //! the reproducibility tests require. Swap the `[workspace.dependencies]`
 //! entry for the real `rand` when a registry is available.
 
+#![forbid(unsafe_code)]
+
 /// A source of random 64-bit words.
 pub trait RngCore {
     /// Returns the next 64 random bits.

@@ -741,8 +741,7 @@ impl DfaPolicy {
 
 /// `false` when the `CAMA_DFA` environment variable is `off` or `0`:
 /// the pure-NFA override lane ([`compile_hybrid_ruleset`] then compiles
-/// exactly what [`compile_ruleset`] compiles), mirroring
-/// `CAMA_KERNEL=scalar` for the word-slice kernels.
+/// exactly what [`compile_ruleset`] compiles).
 pub fn dfa_enabled() -> bool {
     match std::env::var("CAMA_DFA") {
         Ok(value) => {

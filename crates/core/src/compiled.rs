@@ -182,26 +182,23 @@ fn word_summary(set: &BitSet) -> Vec<u64> {
     summary
 }
 
-/// A flat, cache-blocked table of fixed-width bit rows — the storage
-/// layout of every per-symbol match table.
+/// A flat table of fixed-width bit rows — the storage layout of every
+/// per-symbol match table.
 ///
-/// All rows live in one `Vec<u64>` at a constant stride padded to a
-/// multiple of 4 words (one 256-bit kernel lane), so consecutive rows
-/// never share a 32-byte group and [`row`](RowTable::row) is always a
-/// contiguous slice the SIMD kernels in [`crate::kernel`] can stream.
-/// Each row's one-bit-per-word nonzero summary (the selective-precharge
-/// analogue) is packed the same way in a second flat array.
+/// All rows live back to back in one `Vec<u64>`, `words_per_row` words
+/// each, so [`row`](RowTable::row) is a contiguous slice with no
+/// padding. Each row's one-bit-per-word nonzero summary (the
+/// selective-precharge analogue) is packed the same way in a second
+/// flat array.
 #[derive(Clone, Debug)]
 struct RowTable {
     /// Bits per row.
     len: usize,
-    /// Exact words per row (`len.div_ceil(64)`).
+    /// Words per row (`len.div_ceil(64)`).
     words_per_row: usize,
-    /// Padded row stride in words (multiple of 4).
-    stride: usize,
     /// Words per row summary (`words_per_row.div_ceil(64)`).
     summary_words: usize,
-    /// `num_rows * stride` words; padding words stay zero.
+    /// `num_rows * words_per_row` words.
     data: Vec<u64>,
     /// `num_rows * summary_words` words.
     summaries: Vec<u64>,
@@ -215,13 +212,12 @@ impl RowTable {
     /// Panics if any row's capacity differs from `len`.
     fn from_rows(len: usize, rows: &[BitSet]) -> RowTable {
         let words_per_row = len.div_ceil(64);
-        let stride = words_per_row.next_multiple_of(4);
         let summary_words = words_per_row.div_ceil(64);
-        let mut data = vec![0u64; rows.len() * stride];
+        let mut data = Vec::with_capacity(rows.len() * words_per_row);
         let mut summaries = vec![0u64; rows.len() * summary_words];
         for (i, row) in rows.iter().enumerate() {
             assert_eq!(row.len(), len, "row capacity mismatch");
-            data[i * stride..i * stride + words_per_row].copy_from_slice(row.as_words());
+            data.extend_from_slice(row.as_words());
             kernel::summarize(
                 row.as_words(),
                 &mut summaries[i * summary_words..(i + 1) * summary_words],
@@ -230,16 +226,15 @@ impl RowTable {
         RowTable {
             len,
             words_per_row,
-            stride,
             summary_words,
             data,
             summaries,
         }
     }
 
-    /// Row `i` as a borrowed exact-length view.
+    /// Row `i` as a borrowed view.
     fn row(&self, i: usize) -> Row<'_> {
-        let start = i * self.stride;
+        let start = i * self.words_per_row;
         Row::from_words(self.len, &self.data[start..start + self.words_per_row])
     }
 
@@ -511,7 +506,7 @@ impl CompiledAutomaton {
     }
 
     /// The match vector of `symbol`: every state accepting it, as a
-    /// contiguous row the SIMD kernels can stream.
+    /// contiguous row of words.
     pub fn match_vector(&self, symbol: u8) -> Row<'_> {
         self.match_rows.row(symbol as usize)
     }
@@ -583,31 +578,6 @@ impl CompiledAutomaton {
     /// first.
     pub fn report_code_unchecked(&self, state: usize) -> u32 {
         self.reports.code(state)
-    }
-
-    /// Computes one cycle's enable vector into `out`:
-    /// `dynamic ∪ all-input starts (if injecting) ∪ start-of-data starts
-    /// (if first cycle)` — all word-level. This is the materialized form
-    /// of the enable set for plan consumers; the engines in `cama-sim`
-    /// fuse the same union into their per-word visit loop instead.
-    ///
-    /// # Panics
-    ///
-    /// Panics if capacities differ from [`len`](Self::len).
-    pub fn enabled_into(
-        &self,
-        dynamic: &BitSet,
-        inject_starts: bool,
-        first_cycle: bool,
-        out: &mut BitSet,
-    ) {
-        out.copy_from(dynamic);
-        if inject_starts {
-            out.union_with(&self.all_input);
-        }
-        if first_cycle {
-            out.union_with(&self.start_of_data);
-        }
     }
 }
 
@@ -1183,48 +1153,6 @@ impl CompiledStridedAutomaton {
         &self.all_input_any
     }
 
-    /// Computes the pair match vector `first_table[a] & second_table[b]`
-    /// into `out` — the materialized form for plan consumers; the
-    /// strided engine fuses the same AND into its per-word step.
-    ///
-    /// `out` may have any capacity: it is resized (reallocated) to
-    /// [`len`](Self::len) when it does not match, so plan consumers can
-    /// reuse one scratch set across plans of different sizes without a
-    /// panic surfacing from deep inside the step. Pass a correctly
-    /// sized set to keep the call allocation-free.
-    pub fn match_pair_into(&self, a: u8, b: u8, out: &mut BitSet) {
-        if out.len() != self.len {
-            *out = BitSet::new(self.len);
-        }
-        kernel::and2_into(
-            self.first_table(a).words(),
-            self.second_table(b).words(),
-            out.as_words_mut(),
-        );
-    }
-
-    /// Computes the pair cycle's *active* vector
-    /// `first_table[a] & second_table[b] & enabled` into `out` (the
-    /// materialized form of the engines' fused step, built on
-    /// [`BitSet::and3_into`]). `out` is resized like
-    /// [`match_pair_into`](Self::match_pair_into).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `enabled`'s capacity differs from [`len`](Self::len).
-    pub fn match_pair_enabled_into(&self, a: u8, b: u8, enabled: &BitSet, out: &mut BitSet) {
-        if out.len() != self.len {
-            *out = BitSet::new(self.len);
-        }
-        assert_eq!(enabled.len(), self.len, "bitset length mismatch");
-        kernel::and3_into(
-            self.first_table(a).words(),
-            self.second_table(b).words(),
-            enabled.as_words(),
-            out.as_words_mut(),
-        );
-    }
-
     /// CSR successor slice of `state`.
     ///
     /// # Panics
@@ -1606,20 +1534,6 @@ impl CompiledEncodedStridedAutomaton {
             self.first.negated.iter().count(),
             self.second.negated.iter().count(),
         )
-    }
-
-    /// Computes the pair match vector into `out`, resizing it like
-    /// [`CompiledStridedAutomaton::match_pair_into`] — both halves run
-    /// through their encoder lookups first.
-    pub fn match_pair_into(&self, a: u8, b: u8, out: &mut BitSet) {
-        if out.len() != self.len {
-            *out = BitSet::new(self.len);
-        }
-        kernel::and2_into(
-            self.first.match_rows.row(self.first.row_of(a)).words(),
-            self.second.match_rows.row(self.second.row_of(b)).words(),
-            out.as_words_mut(),
-        );
     }
 
     /// CSR successor slice of `state`.
@@ -2873,6 +2787,21 @@ mod tests {
     use crate::{NfaBuilder, SteId};
 
     #[test]
+    fn row_table_stores_rows_unpadded() {
+        for len in [1usize, 63, 64, 65, 130] {
+            let rows: Vec<BitSet> = (0..5)
+                .map(|r| BitSet::from_indices(len, (0..len).filter(|i| (i + r) % (r + 2) == 0)))
+                .collect();
+            let table = RowTable::from_rows(len, &rows);
+            assert_eq!(table.data.len(), rows.len() * len.div_ceil(64), "len {len}");
+            for (i, row) in rows.iter().enumerate() {
+                assert_eq!(table.row(i), *row, "len {len}, row {i}");
+                assert_eq!(table.summary(i), word_summary(row), "len {len}, row {i}");
+            }
+        }
+    }
+
+    #[test]
     fn match_table_covers_all_states() {
         let nfa = regex::compile("(a|b)e*cd+").unwrap();
         let plan = CompiledAutomaton::compile(&nfa);
@@ -2950,26 +2879,13 @@ mod tests {
     }
 
     #[test]
-    fn enabled_into_combines_sources() {
-        let nfa = regex::compile("ab").unwrap();
-        let plan = CompiledAutomaton::compile(&nfa);
-        let mut dynamic = BitSet::new(plan.len());
-        dynamic.insert(1);
-        let mut out = BitSet::new(plan.len());
-        plan.enabled_into(&dynamic, false, false, &mut out);
-        assert_eq!(out.iter().collect::<Vec<_>>(), vec![1]);
-        plan.enabled_into(&dynamic, true, false, &mut out);
-        assert!(out.contains(0), "all-input start joins when injecting");
-    }
-
-    #[test]
     fn strided_pair_match_factorizes() {
         let nfa = regex::compile("ab+c").unwrap();
         let strided = StridedNfa::from_nfa(&nfa);
         let plan = CompiledStridedAutomaton::compile(&strided);
-        let mut out = BitSet::new(plan.len());
         for &(a, b) in &[(b'a', b'b'), (b'b', b'c'), (b'z', b'z'), (b'a', b'a')] {
-            plan.match_pair_into(a, b, &mut out);
+            let mut out = plan.first_table(a).to_bitset();
+            out.intersect_with(&plan.second_table(b).to_bitset());
             let expected: Vec<usize> = strided
                 .states()
                 .iter()
@@ -2979,38 +2895,6 @@ mod tests {
                 .collect();
             assert_eq!(out.iter().collect::<Vec<_>>(), expected, "pair {a},{b}");
         }
-    }
-
-    #[test]
-    fn match_pair_into_resizes_any_capacity() {
-        let nfa = regex::compile("ab+c").unwrap();
-        let strided = StridedNfa::from_nfa(&nfa);
-        let plan = CompiledStridedAutomaton::compile(&strided);
-        // Wrong capacity in both directions: resized, never a panic.
-        for wrong in [0usize, 1, plan.len() + 100] {
-            let mut out = BitSet::new(wrong);
-            plan.match_pair_into(b'a', b'b', &mut out);
-            assert_eq!(out.len(), plan.len());
-            let mut expected = plan.first_table(b'a').to_bitset();
-            expected.intersect_with(&plan.second_table(b'b').to_bitset());
-            assert_eq!(out, expected);
-        }
-    }
-
-    #[test]
-    fn match_pair_enabled_into_is_the_three_way_and() {
-        let nfa = regex::compile("ab+c").unwrap();
-        let strided = StridedNfa::from_nfa(&nfa);
-        let plan = CompiledStridedAutomaton::compile(&strided);
-        let enabled = BitSet::full(plan.len());
-        let mut out = BitSet::new(0);
-        plan.match_pair_enabled_into(b'a', b'b', &enabled, &mut out);
-        let mut pair = BitSet::new(plan.len());
-        plan.match_pair_into(b'a', b'b', &mut pair);
-        assert_eq!(out, pair, "full enable vector leaves the pair row");
-        let empty = BitSet::new(plan.len());
-        plan.match_pair_enabled_into(b'a', b'b', &empty, &mut out);
-        assert!(out.is_empty());
     }
 
     #[test]

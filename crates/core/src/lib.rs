@@ -10,8 +10,9 @@
 //! * [`regex`] — a regex parser and Glushkov compiler to homogeneous NFAs;
 //! * [`anml`] and [`mnrl`] — readers/writers for the interchange formats
 //!   used by ANMLZoo and the automata-processing toolchains;
-//! * [`kernel`] — runtime-dispatched SIMD word-slice kernels
-//!   (AVX2/SSE2/scalar) that the match/AND hot loops execute on;
+//! * [`kernel`] — portable scalar word-slice loops for row summaries,
+//!   bit-set algebra and the naive strided sweep (the simulator's
+//!   per-cycle loops are the summary-driven sparse loops in `cama_sim`);
 //! * [`compile`] — ruleset-scale compilation: per-component units,
 //!   structure-hashed plan caching, parallel compile drivers, and the
 //!   [`PlanRemap`] that live hot swap translates state ids through;
@@ -34,6 +35,8 @@
 //! assert_eq!(nfa.start_states().count(), 2);
 //! # Ok::<(), cama_core::Error>(())
 //! ```
+
+#![forbid(unsafe_code)]
 
 pub mod anml;
 pub mod bitset;

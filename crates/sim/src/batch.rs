@@ -987,8 +987,9 @@ impl<'p, P: StreamPlan> BatchSimulator<'p, P> {
     /// Streams are dispatched by work-stealing: threads claim the next
     /// unclaimed stream from a shared atomic cursor, so skewed stream
     /// lengths don't idle threads the way contiguous chunking would.
-    /// Each thread writes results into pre-sized per-stream slots, so
-    /// ordering is positional, not concatenation-based.
+    /// Each thread keeps its results tagged with their stream index;
+    /// they are merged and sorted back into stream order once every
+    /// thread has joined.
     pub fn run_parallel(&self, streams: &[&[u8]], threads: usize) -> Vec<RunResult> {
         self.run_parallel_collect(streams, threads, |_| {})
     }
@@ -1018,56 +1019,32 @@ impl<'p, P: StreamPlan> BatchSimulator<'p, P> {
 
         let (plan, chain) = (self.plan, self.chain);
         let cursor = AtomicUsize::new(0);
-        let mut slots: Vec<Option<RunResult>> = Vec::new();
-        slots.resize_with(streams.len(), || None);
-        let writer = SlotWriter(slots.as_mut_ptr());
-        std::thread::scope(|scope| {
+        let mut claimed: Vec<(usize, RunResult)> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..threads)
                 .map(|_| {
-                    let cursor = &cursor;
-                    let at_close = &at_close;
-                    scope.spawn(move || {
-                        // Capture the whole `Send` wrapper, not its
-                        // raw-pointer field (disjoint closure capture).
-                        let writer = writer;
+                    scope.spawn(|| {
                         let mut session = plan.open_session(chain);
+                        let mut done = Vec::new();
                         loop {
                             let i = cursor.fetch_add(1, Ordering::Relaxed);
                             let Some(input) = streams.get(i) else { break };
                             session.feed(input);
-                            let result = session.finish();
-                            // SAFETY: index `i` was claimed from the
-                            // cursor exactly once, so no other thread
-                            // writes this slot; the scope joins before
-                            // `slots` is read or dropped.
-                            unsafe { *writer.0.add(i) = Some(result) };
+                            done.push((i, session.finish()));
                         }
                         at_close(&mut session);
+                        done
                     })
                 })
                 .collect();
-            for handle in handles {
-                handle.join().expect("parallel stream thread panicked");
-            }
+            handles
+                .into_iter()
+                .flat_map(|handle| handle.join().expect("parallel stream thread panicked"))
+                .collect()
         });
-        slots
-            .into_iter()
-            .map(|slot| slot.expect("every stream slot filled by a claiming thread"))
-            .collect()
+        claimed.sort_unstable_by_key(|&(i, _)| i);
+        claimed.into_iter().map(|(_, result)| result).collect()
     }
 }
-
-/// A raw slot-array pointer the work-stealing threads write results
-/// through. Copied into each scoped thread; index-disjointness (each
-/// slot written by exactly one cursor claim) makes the shared `*mut`
-/// sound.
-#[derive(Clone, Copy)]
-struct SlotWriter(*mut Option<RunResult>);
-
-// SAFETY: dereferenced only at indices claimed uniquely via the atomic
-// cursor, within the scope that owns the allocation.
-unsafe impl Send for SlotWriter {}
-unsafe impl Sync for SlotWriter {}
 
 impl<'p, P: ShardedExecution + Clone + fmt::Debug> BatchSimulator<'p, ShardedAutomaton<P>> {
     /// [`run_parallel`](Self::run_parallel) that also returns the

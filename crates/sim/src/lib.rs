@@ -101,6 +101,8 @@
 //! # Ok::<(), cama_core::Error>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod activity;
 pub mod batch;
 pub mod buffers;

@@ -1449,59 +1449,77 @@ fn symbol_class_set_algebra() {
     }
 }
 
-/// The kernel-dispatch invariant: every engine produces bit-identical
-/// `RunResult`s whether the word-slice kernels run forced-scalar or on
-/// whatever SIMD tier the runtime dispatcher picked for this CPU —
-/// one-shot and chunked, flat, sharded, strided (selective and naive),
-/// and encoded. The forced override is process-global and the results
-/// are identical on every tier by construction, so flipping it while
-/// sibling tests run concurrently is safe.
+/// `nfa` rebuilt with state 1 and every all-input start past state 0
+/// turned into start-of-data starts, so one automaton carries both
+/// start kinds (`random_nfa` draws only all-input starts).
+fn with_start_of_data(nfa: &Nfa) -> Nfa {
+    let mut builder = NfaBuilder::new();
+    for (i, ste) in nfa.stes().iter().enumerate() {
+        let id = builder.add_ste(ste.class);
+        let start = match ste.start {
+            StartKind::None if i != 1 => StartKind::None,
+            start if i == 0 => start,
+            _ => StartKind::StartOfData,
+        };
+        builder.set_start(id, start);
+        if let Some(code) = ste.report {
+            builder.set_report(id, code);
+        }
+    }
+    for from in 0..nfa.len() as u32 {
+        for &to in nfa.successors(SteId(from)) {
+            builder.add_edge(SteId(from), to);
+        }
+    }
+    builder.build().expect("classes copied from a valid NFA")
+}
+
+/// The non-selective strided sweep (`set_selective(false)`: every
+/// 64-state word precharged each pair cycle) against the oracles. Fed
+/// in random chunks on both the byte and the encoded strided plan, it
+/// reports at the flat byte engine's offsets and returns exactly the
+/// one-shot selective strided result. Odd seeds add start-of-data
+/// starts, which only the sweep's cycle-0 enable vector carries.
 #[test]
-fn kernels_scalar_and_dispatched_agree_across_engines() {
-    use cama::core::compiled::CompiledStridedAutomaton;
-    use cama::core::kernel::{self, Kernel};
+fn naive_strided_sweep_equals_flat() {
+    use cama::core::compiled::{CompiledStridedAutomaton, StridedPlan};
     use cama::sim::StridedSession;
 
-    fn collect(nfa: &Nfa, input: &[u8], chunks: &[&[u8]]) -> Vec<RunResult> {
-        let mut results = vec![Simulator::new(nfa).run(input)];
-        for shards in shard_counts() {
-            results.push(ShardedSimulator::new(nfa, shards).run(input));
-        }
-        let strided = StridedNfa::from_nfa(nfa);
-        results.push(StridedSimulator::new(&strided).run(input));
-        // The non-selective strided session is the heaviest kernel
-        // consumer (one fused sweep per pair cycle); feed it chunked.
-        let plan = CompiledStridedAutomaton::compile(&strided);
-        let mut naive = StridedSession::new(&plan);
-        naive.set_selective(false);
+    fn naive<P: StridedPlan>(plan: &P, chunks: &[&[u8]]) -> RunResult {
+        let mut session = StridedSession::new(plan);
+        session.set_selective(false);
         for chunk in chunks {
-            naive.feed(chunk);
+            session.feed(chunk);
         }
-        results.push(naive.finish());
-        results.push(EncodedSimulator::new(nfa).run(input));
-        results.push(EncodedStridedSimulator::new(&strided).run(input));
-        results.push(via_session(&Simulator::new(nfa), chunks));
-        results.push(via_session(&ShardedSimulator::new(nfa, 2), chunks));
-        results
+        session.finish()
     }
 
     for seed in 0..CASES {
         let mut rng = StdRng::seed_from_u64(0x51_3D00 + seed);
-        let nfa = random_nfa(&mut rng);
+        let mut nfa = random_nfa(&mut rng);
+        if seed % 2 == 1 {
+            nfa = with_start_of_data(&nfa);
+        }
         let input = random_input(&mut rng);
         let chunks = random_chunks(&mut rng, &input);
 
-        kernel::force(Some(Kernel::Scalar));
-        let scalar = collect(&nfa, &input, &chunks);
-        kernel::force(None);
-        let dispatched = collect(&nfa, &input, &chunks);
-
-        for (i, (s, d)) in scalar.iter().zip(&dispatched).enumerate() {
+        let flat_offsets = Simulator::new(&nfa).run(&input).report_offsets();
+        let strided = StridedNfa::from_nfa(&nfa);
+        let selective = StridedSimulator::new(&strided).run(&input);
+        let byte_plan = CompiledStridedAutomaton::compile(&strided);
+        let encoded_plan = StridedEncoding::for_strided(&strided).compile(&strided);
+        for (label, result) in [
+            ("byte", naive(&byte_plan, &chunks)),
+            ("encoded", naive(&encoded_plan, &chunks)),
+        ] {
             assert_eq!(
-                s,
-                d,
-                "seed {seed}, engine {i}: forced-scalar vs dispatched {}",
-                kernel::active().name()
+                result.report_offsets(),
+                flat_offsets,
+                "seed {seed}, {label}: naive strided sweep vs flat, chunks {chunks:?}"
+            );
+            assert_eq!(
+                result, selective,
+                "seed {seed}, {label}: naive strided sweep vs selective"
             );
         }
     }
